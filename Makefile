@@ -1,7 +1,7 @@
 GO ?= go
 SHADOW := $(shell command -v shadow 2>/dev/null)
 
-.PHONY: build test race vet vet-shadow lint lint-fast lint-one lint-timing parity chaos chaos-mesh fuzz golden bench-smoke determinism scale ablation ablation-smoke check bench bench-json
+.PHONY: build test race vet vet-shadow lint lint-fast lint-one lint-timing parity chaos chaos-mesh fuzz golden bench-smoke determinism scale ablation ablation-smoke perfbench-test check bench bench-json
 
 build:
 	$(GO) build ./...
@@ -141,6 +141,13 @@ ablation:
 ablation-smoke:
 	$(GO) test -count=1 -run 'TestFilterBackendsMatrix|TestBackendAblationGolden|TestBackendScaleSweepQuick' ./internal/experiments
 
+# perfbench-test runs the benchmark module's own tests (about 5 s): the
+# tracing decorators must stay transparent to the simulator's reports and
+# the loopback mesh must deliver exactly once, so an engine change that
+# breaks either fails the gate, not the benchmark run.
+perfbench-test:
+	cd perfbench && GOFLAGS=-mod=mod $(GO) test ./...
+
 # check is the PR gate: vet (plus the shadow pass), the repo-specific
 # analyzers (full cold run, then the incremental cache path so a stale
 # or corrupt cache can never pass the gate silently), the quick
@@ -149,9 +156,10 @@ ablation-smoke:
 # fuzz smoke pass over the wire decoders, the engine state machine, the
 # TCBF differential model, and the cross-backend filter conformance
 # suite, the golden-CSV comparisons, the filter-backend ablation smoke,
-# and a benchmark smoke run. The livenode session adapter and the mesh
-# daemon are concurrent; never ship them unraced.
-check: vet vet-shadow lint lint-fast determinism race parity chaos chaos-mesh fuzz golden ablation-smoke bench-smoke
+# a benchmark smoke run, and the benchmark module's tests. The livenode
+# session adapter and the mesh daemon are concurrent; never ship them
+# unraced.
+check: vet vet-shadow lint lint-fast determinism race parity chaos chaos-mesh fuzz golden ablation-smoke bench-smoke perfbench-test
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...

@@ -15,6 +15,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"time"
 
@@ -241,7 +242,7 @@ func runArtifact(name string, seed int64, quick bool, csvDir, benchOut string) e
 		if quick {
 			sizes = experiments.QuickScaleSizes
 		}
-		points, err := experiments.ScaleSweep(sizes, 0, seed)
+		points, err := experiments.ScaleSweep(sizes, runtime.GOMAXPROCS(0), seed)
 		if err != nil {
 			return err
 		}
@@ -297,7 +298,7 @@ func backendAblation(seed int64, quick bool, csvDir, benchOut string) error {
 	if quick {
 		nodes = 1_000
 	}
-	points, err := experiments.BackendScaleSweep(nodes, 0, seed)
+	points, err := experiments.BackendScaleSweep(nodes, runtime.GOMAXPROCS(0), seed)
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -67,6 +68,13 @@ type Node struct {
 	// per-contact filter builds (GenuineOut, InterestOut) hash nothing.
 	preInterests []tcbf.PreKey
 	broker       bool
+	// sightSum is the running sum of the degrees in sightings, so the
+	// election's mean degree needs no scan. sightWide marks it unusable: a
+	// degree or a sum left int32 range (absurd announcements only), and
+	// brokersInWindow rescans until a scan brings the sum back in range.
+	// Both live in the padding after broker, keeping Node in its size class.
+	sightWide bool
+	sightSum  int32
 
 	// relay is the broker's relay filter, built by the configured
 	// internal/filter backend (the default is the Section VI-D
@@ -85,10 +93,15 @@ type Node struct {
 	delivered map[int]struct{}
 
 	// meetings maps peers to their last meeting time; a node's degree is
-	// the number of peers met within the window.
+	// the number of peers met within the window. meetLow is a lower bound
+	// on every time in it: while now-meetLow is within the window no entry
+	// can have expired, so Degree answers len(meetings) without a scan.
 	meetings map[NodeID]time.Duration
-	// sightings maps broker IDs to this node's latest sighting of them.
+	meetLow  time.Duration
+	// sightings maps broker IDs to this node's latest sighting of them;
+	// sightLow bounds their times the way meetLow bounds the meetings.
 	sightings map[NodeID]sighting
+	sightLow  time.Duration
 
 	// freeSessions holds released sessions whose scratch arenas (filters,
 	// encode buffers, claim records) the next BeginContact reuses.
@@ -291,6 +304,9 @@ func (n *Node) RecordMeeting(peer NodeID, at time.Duration) {
 	if n.meetings == nil {
 		n.growMeetings()
 	}
+	if len(n.meetings) == 0 || at < n.meetLow {
+		n.meetLow = at
+	}
 	n.meetings[peer] = at
 }
 
@@ -307,7 +323,41 @@ func (n *Node) RecordBrokerSighting(peer NodeID, degree int, at time.Duration) {
 	if n.sightings == nil {
 		n.growSightings()
 	}
+	if len(n.sightings) == 0 || at < n.sightLow {
+		n.sightLow = at
+	}
+	if old, ok := n.sightings[peer]; ok {
+		n.addSightDegree(-old.degree)
+	}
+	n.addSightDegree(degree)
 	n.sightings[peer] = sighting{at: at, degree: degree}
+}
+
+// forgetSighting drops peer's sighting, if any, and its degree from the
+// running sum.
+//
+//bsub:hotpath
+func (n *Node) forgetSighting(peer NodeID) {
+	if old, ok := n.sightings[peer]; ok {
+		n.addSightDegree(-old.degree)
+		delete(n.sightings, peer)
+	}
+}
+
+// addSightDegree moves the running sighting-degree sum by d, marking it
+// wide when d or the result leaves int32 range.
+//
+//bsub:hotpath
+func (n *Node) addSightDegree(d int) {
+	if n.sightWide {
+		return
+	}
+	sum := int64(n.sightSum) + int64(d)
+	if d < math.MinInt32 || d > math.MaxInt32 || sum < math.MinInt32 || sum > math.MaxInt32 {
+		n.sightWide = true
+		return
+	}
+	n.sightSum = int32(sum)
 }
 
 // growSightings allocates the sighting history on first use.
@@ -316,19 +366,31 @@ func (n *Node) RecordBrokerSighting(peer NodeID, degree int, at time.Duration) {
 func (n *Node) growSightings() { n.sightings = make(map[NodeID]sighting) }
 
 // Degree counts (and prunes) the distinct peers met within the election
-// window ending at now.
+// window ending at now. It scans the history only once the oldest meeting
+// may have left the window.
 //
 //bsub:hotpath
 func (n *Node) Degree(now time.Duration) int {
-	d := 0
+	if len(n.meetings) > 0 && now-n.meetLow > n.cfg.Window {
+		n.pruneMeetings(now)
+	}
+	return len(n.meetings)
+}
+
+// pruneMeetings deletes the meetings outside the window ending at now and
+// tightens meetLow to the oldest survivor.
+//
+//bsub:hotpath
+func (n *Node) pruneMeetings(now time.Duration) {
+	low := time.Duration(math.MaxInt64)
 	for peer, at := range n.meetings {
-		if now-at <= n.cfg.Window {
-			d++
-		} else {
+		if now-at > n.cfg.Window {
 			delete(n.meetings, peer)
+		} else if at < low {
+			low = at
 		}
 	}
-	return d
+	n.meetLow = low
 }
 
 // countPeers counts distinct peers met within window without pruning, so
@@ -349,23 +411,42 @@ func (n *Node) countPeers(now, window time.Duration) int {
 
 // brokersInWindow returns the number of distinct brokers sighted within
 // the window and the mean of their last-reported degrees, pruning expired
-// sightings.
+// sightings. Like Degree, it scans only once the oldest sighting may have
+// expired (or the running degree sum went wide).
 //
 //bsub:hotpath
 func (n *Node) brokersInWindow(now time.Duration) (count int, meanDegree float64) {
-	sum := 0
+	sum := int(n.sightSum)
+	if n.sightWide || (len(n.sightings) > 0 && now-n.sightLow > n.cfg.Window) {
+		sum = n.pruneSightings(now)
+	}
+	count = len(n.sightings)
+	if count > 0 {
+		meanDegree = float64(sum) / float64(count)
+	}
+	return count, meanDegree
+}
+
+// pruneSightings deletes the sightings outside the window ending at now,
+// tightens sightLow, and recomputes the degree sum, which it returns.
+//
+//bsub:hotpath
+func (n *Node) pruneSightings(now time.Duration) int {
+	sum, low := 0, time.Duration(math.MaxInt64)
 	for id, s := range n.sightings {
 		if now-s.at > n.cfg.Window {
 			delete(n.sightings, id)
 			continue
 		}
-		count++
 		sum += s.degree
+		if s.at < low {
+			low = s.at
+		}
 	}
-	if count > 0 {
-		meanDegree = float64(sum) / float64(count)
-	}
-	return count, meanDegree
+	n.sightLow = low
+	n.sightWide = sum < math.MinInt32 || sum > math.MaxInt32
+	n.sightSum = int32(sum)
+	return sum
 }
 
 // RetuneDF maintains the broker's decaying factor per the configured

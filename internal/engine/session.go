@@ -62,10 +62,15 @@ type Forward struct {
 // transfer lists, claim records — that Release returns to the node for the
 // next contact, so a warm BeginContact → … → Release cycle allocates
 // nothing. The arena implies an aliasing contract: bytes returned by an
-// *Out step are valid until the same step runs again on this session (or
-// the session is released), and the slices returned by ForwardCandidates,
-// DeliveryMatches, and ReplicationMatches are valid until the same kind of
-// step runs again.
+// *Out step are read-only and valid until the same step runs again on this
+// session (or the session is released), and the slices returned by
+// ForwardCandidates, DeliveryMatches, and ReplicationMatches are valid
+// until the same kind of step runs again. For a node with exactly one
+// subscription, GenuineOut and InterestOut return bytes memoized in the
+// arena and shared with every later call for the same key, on this node
+// or any other the arena serves. A caller that mutated them would corrupt
+// other contacts' wire bytes: the live adapter copies them into its
+// frames, and the simulator adapter only decodes them.
 type Session struct {
 	n      *Node
 	budget Budget
@@ -111,6 +116,13 @@ type Session struct {
 	interestEnc []byte
 	advertEnc   []byte
 
+	// encMemo memoizes single-key nodes' GenuineOut/InterestOut bytes by
+	// key. With one subscription both encodings are pure functions of the
+	// key and the arena's filter geometry — CountersUniform and
+	// CountersNone carry no clock — so an arena serving many nodes encodes
+	// each key once. dropArena clears it along with the geometry.
+	encMemo map[workload.Key]*keyEnc
+
 	cands     []Forward
 	transfers []Transfer
 
@@ -143,8 +155,8 @@ func (n *Node) BeginContact(budget Budget, now time.Duration) *Session {
 // concurrent contacts, whatever the population size. A cache must not be
 // used from concurrent goroutines, and every node it serves must run the
 // same filter geometry (Config.FilterM/FilterK/Partitions); a session
-// rebound to a node with different geometry drops its arena and rebuilds
-// lazily.
+// rebound to a node with different geometry drops its arena, memoized
+// encodings included, and rebuilds lazily.
 type SessionCache struct {
 	free []*Session
 }
@@ -183,8 +195,9 @@ func (n *Node) BeginContactFrom(c *SessionCache, budget Budget, now time.Duratio
 	return s.begin(budget, now)
 }
 
-// dropArena discards geometry-dependent scratch state so the next use
-// rebuilds it for the session's current node.
+// dropArena discards geometry-dependent scratch state — the scratch
+// filters and the encoding memo — so the next use rebuilds it for the
+// session's current node.
 //
 //bsub:coldpath
 func (s *Session) dropArena() {
@@ -193,6 +206,42 @@ func (s *Session) dropArena() {
 	s.advertBuf = nil
 	s.interestBuf = nil
 	s.deliveryBuf = nil
+	clear(s.encMemo)
+}
+
+// keyEnc holds one key's memoized interest encodings, each nil until first
+// built. The bytes are shared by every caller and never mutated.
+type keyEnc struct {
+	genuine  []byte
+	interest []byte
+}
+
+// memoFor returns the memo entry for the node's single subscription, or
+// nil when the node subscribes to zero or several keys and must encode
+// afresh.
+//
+//bsub:hotpath
+func (s *Session) memoFor() *keyEnc {
+	if len(s.n.interests) != 1 {
+		return nil
+	}
+	k := s.n.interests[0]
+	if e := s.encMemo[k]; e != nil {
+		return e
+	}
+	return s.newMemo(k)
+}
+
+// newMemo adds an empty memo entry for k.
+//
+//bsub:coldpath
+func (s *Session) newMemo(k workload.Key) *keyEnc {
+	if s.encMemo == nil {
+		s.encMemo = make(map[workload.Key]*keyEnc)
+	}
+	e := &keyEnc{}
+	s.encMemo[k] = e
+	return e
 }
 
 // begin (re)initializes a session for one contact.
@@ -336,7 +385,7 @@ func (s *Session) Elect() Action {
 		return ActPromote
 	case count > s.n.cfg.BrokerHigh && s.peer.Broker && float64(s.peer.Degree) < meanDegree:
 		// The demoted broker leaves our sighting window immediately.
-		delete(s.n.sightings, s.peer.ID)
+		s.n.forgetSighting(s.peer.ID)
 		return ActDemote
 	}
 	return ActNone
@@ -426,16 +475,41 @@ func (s *Session) ReceivesGenuine() bool { return s.selfBroker && !s.peerBroker 
 //bsub:hotpath
 func (s *Session) GenuineOut() ([]byte, error) {
 	s.ratchet()
-	g := s.scratchRelay(&s.genuineBuf)
-	g.Reset(s.now)
-	if err := g.InsertAllPre(s.n.preInterests, s.now); err != nil {
-		return nil, err
+	slot, memoized := &s.genuineEnc, false
+	if e := s.memoFor(); e != nil {
+		slot, memoized = &e.genuine, true
 	}
-	data, err := g.EncodeTo(s.genuineEnc[:0], tcbf.CountersUniform)
-	if err != nil {
-		return nil, err
+	return s.interestsOut(s.scratchRelay(&s.genuineBuf), tcbf.CountersUniform, slot, memoized)
+}
+
+// interestEncoder is what GenuineOut and InterestOut need of their scratch
+// filters: a backend filter and a plain TCBF respectively.
+type interestEncoder interface {
+	Reset(now time.Duration)
+	InsertAllPre(keys []tcbf.PreKey, now time.Duration) error
+	EncodeTo(dst []byte, mode tcbf.CounterMode) ([]byte, error)
+}
+
+// interestsOut returns the node's interests built into f and encoded in
+// mode, charging the budget. The encoding lands in *slot: a memoized slot
+// (a single-key node's memo entry) is built once into bytes of its own and
+// returned as is from then on; any other slot is the session's reused
+// buffer, rebuilt every call.
+//
+//bsub:hotpath
+func (s *Session) interestsOut(f interestEncoder, mode tcbf.CounterMode, slot *[]byte, memoized bool) ([]byte, error) {
+	if !memoized || *slot == nil {
+		f.Reset(s.now)
+		if err := f.InsertAllPre(s.n.preInterests, s.now); err != nil {
+			return nil, err
+		}
+		enc, err := f.EncodeTo((*slot)[:0], mode)
+		if err != nil {
+			return nil, err
+		}
+		*slot = enc
 	}
-	s.genuineEnc = data
+	data := *slot
 	if !s.budget.Spend(len(data)) {
 		return nil, nil
 	}
@@ -578,20 +652,11 @@ func (s *Session) MergeRelay() error {
 //bsub:hotpath
 func (s *Session) InterestOut() ([]byte, error) {
 	s.ratchet()
-	f := s.scratchFilter(&s.interestBuf)
-	f.Reset(s.now)
-	if err := f.InsertAllPre(s.n.preInterests, s.now); err != nil {
-		return nil, err
+	slot, memoized := &s.interestEnc, false
+	if e := s.memoFor(); e != nil {
+		slot, memoized = &e.interest, true
 	}
-	data, err := f.EncodeTo(s.interestEnc[:0], tcbf.CountersNone)
-	if err != nil {
-		return nil, err
-	}
-	s.interestEnc = data
-	if !s.budget.Spend(len(data)) {
-		return nil, nil
-	}
-	return data, nil
+	return s.interestsOut(s.scratchFilter(&s.interestBuf), tcbf.CountersNone, slot, memoized)
 }
 
 // DeliveryMatches decodes the peer's interest BF and returns the messages

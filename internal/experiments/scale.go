@@ -128,8 +128,9 @@ func scaleRun(nodes, workers int, seed int64, cfg core.Config) (ScalePoint, erro
 	wall := time.Since(start).Seconds()
 
 	p := ScalePoint{
-		Nodes:        nodes,
-		Workers:      workers,
+		Nodes: nodes,
+		// sim.Run runs zero workers as one; record the count that ran.
+		Workers:      max(workers, 1),
 		Links:        ts.Links(),
 		Contacts:     rep.Contacts,
 		Messages:     rep.Created,
