@@ -109,11 +109,15 @@ golden:
 	$(GO) test -count=1 -run TestGoldenCSVs ./cmd/experiments
 	$(GO) test -count=1 -run TestBackendAblationGolden ./internal/experiments
 
-# bench-smoke runs the contact benchmark a handful of iterations so a PR
-# that breaks the benchmark harness (or its zero-alloc assumptions, see
-# TestContactAllocationFree) fails the gate without a full bench run.
+# bench-smoke runs the contact benchmarks — the engine session and the
+# simulator adapter's broker-broker contact on top of it — a handful of
+# iterations so a PR that breaks the benchmark harness (or its zero-alloc
+# assumptions, see TestContactAllocationFree and
+# TestAdapterContactAllocationFree) fails the gate without a full bench
+# run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkEngineContact -benchtime 10x ./internal/engine
+	$(GO) test -run '^$$' -bench BenchmarkAdapterContact -benchtime 10x ./internal/core
 
 # determinism is the quick-mode sharded-runner gate: the same seeded scale
 # config must produce byte-identical reports at workers=1 and workers=8,

@@ -65,13 +65,13 @@ func TestAdapterTracksBrokerCensus(t *testing.T) {
 		t.Errorf("bootstrap roles: broker0=%v broker1=%v, want only node 1",
 			p.IsBroker(0), p.IsBroker(1))
 	}
-	if p.nodes[0].oracle != nil {
+	if p.nodes[0].oracle.active() {
 		t.Error("user node grew an oracle")
 	}
-	if p.nodes[1].oracle == nil {
+	if !p.nodes[1].oracle.active() {
 		t.Error("broker node missing its oracle")
 	}
-	if p.nodes[2].oracle != nil {
+	if p.nodes[2].oracle.active() {
 		t.Error("bystander node grew an oracle")
 	}
 }

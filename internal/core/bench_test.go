@@ -1,0 +1,78 @@
+package core
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+	"time"
+
+	"bsub/internal/sim"
+	"bsub/internal/workload"
+)
+
+// newAdapterContactRig builds a two-broker BSub and returns one warm
+// broker-broker contact through OnContact, plus reseed, which restores
+// the relay filters and oracles the contact's merges keep reinforcing.
+// Both brokers relay trend-set keys — node 0 the first 24, node 1 the last
+// 24 — so the first merge unions them into trend-set-sized (38-key)
+// oracles on both sides. The clock stands still, so no counter decays and
+// iterations are comparable.
+func newAdapterContactRig(tb testing.TB, mode BrokerMergeMode) (p *BSub, contact, reseed func()) {
+	const now = time.Hour
+	cfg := DefaultConfig(0.1)
+	cfg.BrokerMerge = mode
+	p = New(cfg)
+	env := &fakeEnv{nodes: 2, now: now, ttl: time.Hour}
+	if err := p.Init(env, rand.New(rand.NewSource(1))); err != nil {
+		tb.Fatal(err)
+	}
+	keys := workload.NewTrendKeySet().Keys()
+	relayed := [2][]workload.Key{keys[:24], keys[len(keys)-24:]}
+	reseed = func() {
+		for i := range p.nodes {
+			n := &p.nodes[i]
+			n.eng.Demote()
+			n.eng.Promote(now)
+			p.syncRole(n, now)
+			if err := n.eng.Relay().InsertAll(relayed[i], now); err != nil {
+				tb.Fatal(err)
+			}
+			n.oracle.start(now)
+			n.oracle.reinforce(relayed[i], cfg.InitialCounter)
+		}
+	}
+	reseed()
+	// An effectively unbounded budget: no run of the rig can drain it.
+	budget := sim.NewBudget(math.MaxInt)
+	contact = func() { p.OnContact(env, 0, 1, budget) }
+	contact()
+	if !p.IsBroker(0) || !p.IsBroker(1) {
+		tb.Fatal("rig contact demoted a broker")
+	}
+	return p, contact, reseed
+}
+
+// BenchmarkAdapterContact measures one warm broker-broker contact through
+// BSub.OnContact in both merge modes: the engine session (election, relay
+// exchange, merges, pulls) plus the adapter's oracle upkeep on
+// trend-set-sized oracles.
+func BenchmarkAdapterContact(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		mode BrokerMergeMode
+	}{{"mmerge", BrokerMergeMax}, {"amerge", BrokerMergeAdditive}} {
+		b.Run(c.name, func(b *testing.B) {
+			_, contact, reseed := newAdapterContactRig(b, c.mode)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%64 == 0 && i > 0 {
+					// Additive merges double every counter per contact;
+					// an amortized reseed keeps them in a realistic regime.
+					reseed()
+				}
+				contact()
+			}
+		})
+	}
+}

@@ -65,16 +65,15 @@ type node struct {
 	eng *engine.Node
 
 	// oracle mirrors the relay filter's content exactly (no collisions);
-	// non-nil iff the node is a broker. oracleAt is its decay clock.
-	oracle   map[workload.Key]float64
-	oracleAt time.Duration
+	// it is active iff the node is a broker.
+	oracle oracle
 }
 
 // BSub is the simulator driver; per-node protocol state lives in the
 // engine.
 type BSub struct {
 	cfg   Config
-	nodes []*node
+	nodes []node
 
 	// caches holds one engine.SessionCache per simulator worker, so a
 	// handful of warm scratch arenas serve the whole population instead
@@ -103,14 +102,14 @@ func (p *BSub) Name() string { return "B-SUB" }
 
 // Init implements sim.Protocol.
 func (p *BSub) Init(pop sim.Population, _ *rand.Rand) error {
-	p.nodes = make([]*node, pop.Nodes())
+	p.nodes = make([]node, pop.Nodes())
 	for i := range p.nodes {
 		eng, err := engine.NewNode(i, p.cfg, pop.TTL())
 		if err != nil {
 			return err
 		}
 		eng.Subscribe(pop.InterestSet(trace.NodeID(i))...)
-		p.nodes[i] = &node{id: trace.NodeID(i), eng: eng}
+		p.nodes[i] = node{id: trace.NodeID(i), eng: eng}
 	}
 	p.caches = make([]*engine.SessionCache, pop.Workers())
 	for i := range p.caches {
@@ -132,7 +131,7 @@ func (p *BSub) OnMessage(_ sim.Env, msg workload.Message) {
 // the session initiator.
 func (p *BSub) OnContact(env sim.Env, aID, bID trace.NodeID, budget *sim.Budget) {
 	now := env.Now()
-	a, b := p.nodes[aID], p.nodes[bID]
+	a, b := &p.nodes[aID], &p.nodes[bID]
 
 	// 1. Identity handshake. A contact too short even for this carries
 	// nothing.
@@ -179,7 +178,7 @@ func (p *BSub) OnContact(env sim.Env, aID, bID trace.NodeID, budget *sim.Budget)
 }
 
 // syncRoles reconciles both contact sides' oracles and the broker census
-// with the engines' post-election roles; oracle non-nilness marks "was
+// with the engines' post-election roles; an active oracle marks "was
 // broker". One mutex hold covers the role flips and the census sample.
 func (p *BSub) syncRoles(a, b *node, now time.Duration) {
 	p.censusMu.Lock()
@@ -193,12 +192,11 @@ func (p *BSub) syncRoles(a, b *node, now time.Duration) {
 // syncRole updates one node under censusMu.
 func (p *BSub) syncRole(n *node, now time.Duration) {
 	switch {
-	case n.eng.IsBroker() && n.oracle == nil:
-		n.oracle = make(map[workload.Key]float64)
-		n.oracleAt = now
+	case n.eng.IsBroker() && !n.oracle.active():
+		n.oracle.start(now)
 		p.brokerCount++
-	case !n.eng.IsBroker() && n.oracle != nil:
-		n.oracle = nil
+	case !n.eng.IsBroker() && n.oracle.active():
+		n.oracle.stop()
 		p.brokerCount--
 	}
 }
@@ -207,35 +205,8 @@ func (p *BSub) syncRole(n *node, now time.Duration) {
 // oracle, using the DF currently in effect (the engine settles the filter
 // before retuning the DF, and this is called at the same points).
 func (p *BSub) advanceOracle(n *node, now time.Duration) {
-	if n.oracle == nil {
-		return
-	}
-	elapsed := now - n.oracleAt
-	n.oracleAt = now
-	df := n.eng.RelayDF()
-	if elapsed <= 0 || df == 0 {
-		return
-	}
-	dec := df * elapsed.Minutes()
-	for k, c := range n.oracle {
-		c -= dec
-		if c <= 0 {
-			delete(n.oracle, k)
-		} else {
-			n.oracle[k] = c
-		}
-	}
-}
-
-// mergeOracle applies the broker merge semantics to ground-truth counters.
-func mergeOracle(dst, src map[workload.Key]float64, mode BrokerMergeMode) {
-	for k, c := range src {
-		switch {
-		case mode == BrokerMergeAdditive:
-			dst[k] += c
-		case c > dst[k]:
-			dst[k] = c
-		}
+	if n.oracle.active() {
+		n.oracle.advance(now, n.eng.RelayDF())
 	}
 }
 
@@ -254,13 +225,11 @@ func (p *BSub) propagateGenuine(env sim.Env, c *node, sc *engine.Session, br *no
 	if err := sbr.AbsorbGenuine(data); err != nil {
 		return
 	}
-	if br.oracle == nil {
+	if !br.oracle.active() {
 		return
 	}
 	p.advanceOracle(br, now)
-	for _, k := range c.eng.Interests() {
-		br.oracle[k] += p.cfg.InitialCounter
-	}
+	br.oracle.reinforce(c.eng.Interests(), p.cfg.InitialCounter)
 }
 
 // exchangeRelays handles a broker-broker meeting: exchange relay filters,
@@ -284,16 +253,10 @@ func (p *BSub) exchangeRelays(env sim.Env, a *node, sa *engine.Session, b *node,
 		return
 	}
 
-	// Mirror the merge on the oracles (pre-merge snapshots, like the
-	// filters).
+	// Mirror the merge on the oracles.
 	p.advanceOracle(a, now)
 	p.advanceOracle(b, now)
-	snapA := make(map[workload.Key]float64, len(a.oracle))
-	for k, c := range a.oracle {
-		snapA[k] = c
-	}
-	mergeOracle(a.oracle, b.oracle, p.cfg.BrokerMerge)
-	mergeOracle(b.oracle, snapA, p.cfg.BrokerMerge)
+	mergeOracles(&a.oracle, &b.oracle, p.cfg.BrokerMerge)
 }
 
 // forward moves src's preferential-forwarding candidates to dst, largest
@@ -394,15 +357,7 @@ func (p *BSub) replicationPull(env sim.Env, asker *node, sAsker *engine.Session,
 		acc := asker.eng.AcceptCarried(m, claim.Payload(), now)
 		env.RecordForwarding(&m)
 		p.advanceOracle(asker, now)
-		genuineMatch := false
-		if asker.oracle != nil {
-			for _, k := range m.MatchKeys() {
-				if asker.oracle[k] > 0 {
-					genuineMatch = true
-					break
-				}
-			}
-		}
+		genuineMatch := asker.oracle.active() && asker.oracle.genuine(m.MatchKeys())
 		env.RecordReplication(!genuineMatch)
 		if acc.Delivered {
 			env.Deliver(&m, asker.id)

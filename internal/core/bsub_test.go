@@ -695,7 +695,7 @@ func TestOracleMirrorsRelayDecay(t *testing.T) {
 	// White-box: an interest planted via genuine-filter A-merge must leave
 	// the oracle at the same time it decays out of the relay filter.
 	p := newTestBSub(t, 2)
-	n := p.nodes[1]
+	n := &p.nodes[1]
 	n.eng.Promote(0)
 	p.syncRole(n, 0)
 
@@ -703,8 +703,8 @@ func TestOracleMirrorsRelayDecay(t *testing.T) {
 	// broker 1's relay filter and oracle.
 	p.OnContact(&fakeEnv{nodes: 2, ttl: time.Hour}, 0, 1, sim.NewBudget(1<<20))
 
-	if n.oracle["k"] <= 0 {
-		t.Fatalf("oracle missing planted interest: %v", n.oracle)
+	if n.oracle.counter("k") <= 0 {
+		t.Fatalf("oracle missing planted interest: %v", n.oracle.entries)
 	}
 	relay := n.eng.Relay()
 	ok, err := relay.Contains("k", 0)
@@ -722,7 +722,10 @@ func TestOracleMirrorsRelayDecay(t *testing.T) {
 		t.Error("relay filter kept the interest past its lifetime")
 	}
 	p.advanceOracle(n, later)
-	if c := n.oracle["k"]; c > 0 {
+	if c := n.oracle.counter("k"); c > 0 {
 		t.Errorf("oracle counter %g survived past the filter's lifetime", c)
+	}
+	if len(n.oracle.entries) != 0 {
+		t.Errorf("decayed key left in the oracle: %v", n.oracle.entries)
 	}
 }

@@ -193,7 +193,12 @@ func (s *store) ids() []int {
 	return out
 }
 
-// settleIndex merges pending IDs into the sorted index.
+// settleIndex merges pending IDs into the sorted index, in place: the
+// index grows by len(pending) and the merge runs from the back, so no
+// unread index slot is overwritten and no second buffer is needed. A
+// re-added ID (removed, then added again before its stale slot was swept)
+// meets its old slot in the merge and keeps one of the two; the gap those
+// collapses leave is compacted out at the end.
 //
 //bsub:coldpath
 func (s *store) settleIndex() {
@@ -201,28 +206,26 @@ func (s *store) settleIndex() {
 		return
 	}
 	sort.Ints(s.pending)
-	if len(s.sorted) == 0 {
-		s.sorted = append(s.sorted, s.pending...)
-		s.pending = s.pending[:0]
-		return
-	}
-	merged := make([]int, 0, len(s.sorted)+len(s.pending))
-	i, j := 0, 0
-	for i < len(s.sorted) && j < len(s.pending) {
+	n := len(s.sorted)
+	s.sorted = append(s.sorted, s.pending...)
+	i, j, w := n-1, len(s.pending)-1, len(s.sorted)-1
+	for ; j >= 0; w-- {
 		switch {
-		case s.sorted[i] < s.pending[j]:
-			merged = append(merged, s.sorted[i])
-			i++
-		case s.sorted[i] > s.pending[j]:
-			merged = append(merged, s.pending[j])
-			j++
-		default: // re-added ID already indexed
-			merged = append(merged, s.sorted[i])
-			i, j = i+1, j+1
+		case i >= 0 && s.sorted[i] > s.pending[j]:
+			s.sorted[w] = s.sorted[i]
+			i--
+		case i >= 0 && s.sorted[i] == s.pending[j]: // re-added ID already indexed
+			s.sorted[w] = s.sorted[i]
+			i, j = i-1, j-1
+		default:
+			s.sorted[w] = s.pending[j]
+			j--
 		}
 	}
-	merged = append(merged, s.sorted[i:]...)
-	merged = append(merged, s.pending[j:]...)
-	s.sorted = merged
+	// s.sorted[:i+1] is unmerged and in place; close the gap of w-i slots
+	// the collapses left after it.
+	if w > i {
+		s.sorted = append(s.sorted[:i+1], s.sorted[w+1:]...)
+	}
 	s.pending = s.pending[:0]
 }
