@@ -1,7 +1,7 @@
 GO ?= go
 SHADOW := $(shell command -v shadow 2>/dev/null)
 
-.PHONY: build test race vet vet-shadow lint lint-fast lint-one lint-timing parity chaos chaos-mesh fuzz golden bench-smoke determinism scale ablation ablation-smoke perfbench-test check bench bench-json
+.PHONY: build test race vet vet-shadow fmt-check lint lint-fast lint-one lint-timing parity chaos chaos-mesh fuzz golden bench-smoke determinism scale ablation ablation-smoke perfbench-test check bench bench-json
 
 build:
 	$(GO) build ./...
@@ -14,6 +14,10 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails when any Go file in the tree is not gofmt-clean.
+fmt-check:
+	test -z "$$(gofmt -l .)"
 
 # vet-shadow runs the variable-shadowing analyzer when the shadow vettool
 # is installed; otherwise it falls back to a stricter flag subset of the
@@ -110,14 +114,16 @@ golden:
 	$(GO) test -count=1 -run TestBackendAblationGolden ./internal/experiments
 
 # bench-smoke runs the contact benchmarks — the engine session and the
-# simulator adapter's broker-broker contact on top of it — a handful of
-# iterations so a PR that breaks the benchmark harness (or its zero-alloc
-# assumptions, see TestContactAllocationFree and
-# TestAdapterContactAllocationFree) fails the gate without a full bench
-# run.
+# simulator adapter's broker-broker contact on top of it — and the relay
+# filter codec benchmarks (one warm filter each way, and a round-robin
+# over a few thousand cold relay filters) a handful of iterations, so a
+# PR that breaks the benchmark harness (or its zero-alloc assumptions,
+# see TestContactAllocationFree, TestAdapterContactAllocationFree and
+# TestFilterOpsAllocationFree) fails the gate without a full bench run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkEngineContact -benchtime 10x ./internal/engine
 	$(GO) test -run '^$$' -bench BenchmarkAdapterContact -benchtime 10x ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkEncodeTo$$|BenchmarkDecodeInto$$|BenchmarkPopulationCodec$$' -benchtime 10x ./internal/tcbf
 
 # determinism is the quick-mode sharded-runner gate: the same seeded scale
 # config must produce byte-identical reports at workers=1 and workers=8,
@@ -152,10 +158,10 @@ ablation-smoke:
 perfbench-test:
 	cd perfbench && GOFLAGS=-mod=mod $(GO) test ./...
 
-# check is the PR gate: vet (plus the shadow pass), the repo-specific
-# analyzers (full cold run, then the incremental cache path so a stale
-# or corrupt cache can never pass the gate silently), the quick
-# sharded-determinism gate, and the full suite under the race detector,
+# check is the PR gate: gofmt cleanliness, vet (plus the shadow pass),
+# the repo-specific analyzers (full cold run, then the incremental cache
+# path so a stale or corrupt cache can never pass the gate silently), the
+# quick sharded-determinism gate, and the full suite under the race detector,
 # then sim/live parity, the chaos suite, the mesh churn controller, a
 # fuzz smoke pass over the wire decoders, the engine state machine, the
 # TCBF differential model, and the cross-backend filter conformance
@@ -163,7 +169,7 @@ perfbench-test:
 # a benchmark smoke run, and the benchmark module's tests. The livenode
 # session adapter and the mesh daemon are concurrent; never ship them
 # unraced.
-check: vet vet-shadow lint lint-fast determinism race parity chaos chaos-mesh fuzz golden ablation-smoke bench-smoke perfbench-test
+check: fmt-check vet vet-shadow lint lint-fast determinism race parity chaos chaos-mesh fuzz golden ablation-smoke bench-smoke perfbench-test
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...

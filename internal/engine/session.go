@@ -122,6 +122,10 @@ type Session struct {
 	// CountersNone carry no clock — so an arena serving many nodes encodes
 	// each key once. dropArena clears it along with the geometry.
 	encMemo map[workload.Key]*keyEnc
+	// geom is the geometry the arena is built for (SessionCache sessions
+	// only). A rebind compares the incoming node against it instead of
+	// dereferencing the previous node, a cold read at population scale.
+	geom arenaGeometry
 
 	cands     []Forward
 	transfers []Transfer
@@ -182,17 +186,32 @@ func (n *Node) BeginContactFrom(c *SessionCache, budget Budget, now time.Duratio
 		c.free[k-1] = nil
 		c.free = c.free[:k-1]
 		if s.n != n {
-			if s.n.fcfg != n.fcfg || s.n.cfg.partitions() != n.cfg.partitions() ||
-				s.n.cfg.backend() != n.cfg.backend() {
+			if g := n.arenaGeometry(); g != s.geom {
 				s.dropArena()
+				s.geom = g
 			}
 			s.n = n
 		}
 	} else {
-		s = &Session{n: n}
+		s = &Session{n: n, geom: n.arenaGeometry()}
 	}
 	s.cache = c
 	return s.begin(budget, now)
+}
+
+// arenaGeometry is the filter geometry a session arena's scratch state
+// depends on.
+type arenaGeometry struct {
+	fcfg       tcbf.Config
+	partitions int
+	backend    filter.Backend
+}
+
+// arenaGeometry returns the geometry an arena serving n must be built for.
+//
+//bsub:hotpath
+func (n *Node) arenaGeometry() arenaGeometry {
+	return arenaGeometry{fcfg: n.fcfg, partitions: n.cfg.partitions(), backend: n.cfg.backend()}
 }
 
 // dropArena discards geometry-dependent scratch state — the scratch

@@ -78,6 +78,8 @@ type Filter interface {
 	Encode(mode tcbf.CounterMode) ([]byte, error)
 	// EncodeTo appends the wire encoding to dst and returns the extended
 	// slice — the allocation-free variant for caller-reused buffers.
+	// Encoding may settle pending decay into the receiver's storage, so
+	// Encode and EncodeTo are mutating calls, like the merges.
 	EncodeTo(dst []byte, mode tcbf.CounterMode) ([]byte, error)
 	// DecodeInto reconstructs the filter from data in place, reusing the
 	// receiver's storage; on error the receiver is unspecified and must

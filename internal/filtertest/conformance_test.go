@@ -43,13 +43,13 @@ func TestFilterConformance(t *testing.T) {
 // first tape byte picks the backend, the rest is the op tape, and any
 // input on which a backend violates its declared laws is a real bug.
 func FuzzFilterModel(f *testing.F) {
-	f.Add([]byte{0, 0, 1, 1, 2, 3, 0, 5, 1, 7, 2})                // insert, merge, query, wire
-	f.Add([]byte{2, 0, 0, 2, 90, 6, 0, 4, 0, 6, 0})               // retouched: decay then M-merge
-	f.Add([]byte{3, 0, 3, 8, 16, 2, 200, 5, 3, 7, 0, 9, 0})       // autoscale: DF retune, burst
-	f.Add([]byte{4, 1, 5, 3, 0, 0, 5, 8, 4, 1, 7, 4, 0, 2, 30})   // bloofi: merged-insert path
-	f.Add([]byte{1, 0, 1, 1, 1, 9, 0, 6, 1, 9, 0, 6, 1, 2, 255})  // partitions: saturation, decay
-	f.Add([]byte{3, 0, 0, 10, 1, 5, 0, 10, 255, 6, 0, 11, 3})     // sub-tick carry + monotonicity
-	f.Add([]byte{4, 9, 0, 9, 1, 9, 2, 9, 3, 7, 0, 5, 0})          // bloofi: fold under burst, wire
+	f.Add([]byte{0, 0, 1, 1, 2, 3, 0, 5, 1, 7, 2})               // insert, merge, query, wire
+	f.Add([]byte{2, 0, 0, 2, 90, 6, 0, 4, 0, 6, 0})              // retouched: decay then M-merge
+	f.Add([]byte{3, 0, 3, 8, 16, 2, 200, 5, 3, 7, 0, 9, 0})      // autoscale: DF retune, burst
+	f.Add([]byte{4, 1, 5, 3, 0, 0, 5, 8, 4, 1, 7, 4, 0, 2, 30})  // bloofi: merged-insert path
+	f.Add([]byte{1, 0, 1, 1, 1, 9, 0, 6, 1, 9, 0, 6, 1, 2, 255}) // partitions: saturation, decay
+	f.Add([]byte{3, 0, 0, 10, 1, 5, 0, 10, 255, 6, 0, 11, 3})    // sub-tick carry + monotonicity
+	f.Add([]byte{4, 9, 0, 9, 1, 9, 2, 9, 3, 7, 0, 5, 0})         // bloofi: fold under burst, wire
 	f.Fuzz(func(t *testing.T, tape []byte) {
 		if len(tape) < 1 {
 			t.Skip("empty tape")

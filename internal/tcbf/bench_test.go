@@ -107,3 +107,74 @@ func BenchmarkPartitionedEncodeTo(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPopulationCodec is the codec in the regime a large simulated
+// population runs it: each op advances one of a few thousand sparse relay
+// filters (about a tenth of the bits set, counters spread by staggered
+// inserts and reinforcement) by one tick of pending decay, encodes it with
+// full counters, decodes that into one warm scratch filter, and encodes
+// it again as a counter-less advert — the codec work of one relay
+// exchange. Round-robin over the population keeps the encoded filters
+// out of cache, as they are when contacts pick nodes at random. The
+// population is rebuilt (off the clock) before decay could empty it.
+func BenchmarkPopulationCodec(b *testing.B) {
+	const (
+		filters = 4096
+		rounds  = 512 // ticks of decay between rebuilds; counters start >= 1024 ticks
+	)
+	cfg := Config{M: 256, K: 4, Initial: 10, DecayPerMinute: 0.1}
+	tick := time.Duration(tickNanosFor(cfg.Initial/initTicks, cfg.DecayPerMinute))
+	pop := make([]*Partitioned, filters)
+	var now time.Duration
+	build := func() {
+		for i := range pop {
+			p := MustNewPartitioned(cfg, 1, now)
+			boost := MustNewPartitioned(cfg, 1, now)
+			for j := 0; j < 6; j++ {
+				key := fmt.Sprintf("relay-%d-%d", i, j)
+				target := p
+				if j%3 == 0 {
+					target = boost
+				}
+				if err := target.Insert(key, now+time.Duration(j)*tick); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := p.AMerge(boost, now+8*tick); err != nil {
+				b.Fatal(err)
+			}
+			pop[i] = p
+		}
+		now += 8 * tick
+	}
+	build()
+	scratch := MustNewPartitioned(cfg, 1, now)
+	var full, advert []byte
+	var err error
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % filters
+		if k == 0 {
+			if i/filters%rounds == rounds-1 {
+				b.StopTimer()
+				build()
+				b.StartTimer()
+			}
+			now += tick
+		}
+		p := pop[k]
+		if err = p.Advance(now); err != nil {
+			b.Fatal(err)
+		}
+		if full, err = p.EncodeTo(full[:0], CountersFull); err != nil {
+			b.Fatal(err)
+		}
+		if err = scratch.DecodeInto(full, now); err != nil {
+			b.Fatal(err)
+		}
+		if advert, err = p.EncodeTo(advert[:0], CountersNone); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"time"
 )
 
@@ -56,8 +57,8 @@ var (
 // otherwise it falls back to the raw bitmap. Counters are quantized to one
 // byte relative to the filter's maximum counter.
 //
-// Pending decay is folded into the encoded counters on the fly, so the
-// bytes always reflect the last Advance'd clock.
+// Pending decay is settled into the stored counters first (see
+// EncodeTo), so the bytes always reflect the last Advance'd clock.
 func (f *Filter) Encode(mode CounterMode) ([]byte, error) {
 	return f.EncodeTo(nil, mode)
 }
@@ -66,39 +67,74 @@ func (f *Filter) Encode(mode CounterMode) ([]byte, error) {
 // extended slice — the same bytes Encode produces, but into a
 // caller-reused buffer, so a warm hot path encodes without allocating.
 //
+// EncodeTo settles pending decay into the stored counters as it scans
+// them, so it is a mutating call under the same single-owner rule as a
+// merge: it must not run concurrently with any other use of the filter.
+// The settlement is exact (saturating subtraction composes), so no query,
+// merge or later encoding can observe it.
+//
 // In CountersUniform mode the filter's set counters must actually be
 // uniform; ErrNotUniform is returned otherwise.
 //
 //bsub:hotpath
 func (f *Filter) EncodeTo(dst []byte, mode CounterMode) ([]byte, error) {
+	dst, _, err := f.encodeTo(dst, mode)
+	return dst, err
+}
+
+// checkMode rejects a CounterMode outside the three defined ones.
+//
+//bsub:hotpath
+func checkMode(mode CounterMode) error {
 	if mode < CountersNone || mode > CountersFull {
-		return nil, fmt.Errorf("tcbf: unknown counter mode %d", mode)
+		return fmt.Errorf("tcbf: unknown counter mode %d", mode)
 	}
-	// One word-parallel scan for the set-bit count, the maximum counter,
-	// and uniformity, with pending decay applied on the fly: popcount of
-	// the lane flags counts set bits, a running maxWord accumulates the
-	// per-lane maximum, and uniformity is a whole-word compare against the
-	// first value broadcast into every non-zero lane.
+	return nil
+}
+
+// encodeTo is EncodeTo that also returns the encoded set-bit count, which
+// lets the partitioned encoder drop an empty partition's body without a
+// separate emptiness scan. It makes two passes over the counter words: a
+// stats scan that settles pending decay in place and yields everything
+// the output size depends on, then one emission pass that writes the
+// locations (list or bitmap) and the counter bytes at precomputed offsets
+// of a buffer grown once.
+//
+//bsub:hotpath
+func (f *Filter) encodeTo(dst []byte, mode CounterMode) ([]byte, int, error) {
+	if err := checkMode(mode); err != nil {
+		return nil, 0, err
+	}
+	// Stats scan: popcount of the lane flags counts set bits; when the
+	// mode carries counters, a running maxWord accumulates the per-lane
+	// maximum, and in uniform mode uniformity is a whole-word compare
+	// against the first value broadcast into every non-zero lane. Settled
+	// words are written back, so the emission pass (and every later
+	// operation) reads effective counters directly.
+	words := f.words
 	pend := bcast(f.pendingTicks)
+	f.pendingTicks = 0
 	nSet := 0
 	var accMax, firstW uint64
 	uniformT := true
-	for _, w := range f.words {
-		if w == 0 {
-			continue
+	for i, w := range words {
+		if pend != 0 {
+			w = satSubWord(w, pend)
+			words[i] = w
 		}
-		e := satSubWord(w, pend)
-		nz := nzLanes(e)
-		if nz == 0 {
-			continue
-		}
+		nz := nzLanes(w)
 		nSet += bits.OnesCount64(nz)
-		accMax = maxWord(accMax, e)
-		if firstW == 0 {
-			firstW = bcast(uint32(e>>uint(bits.TrailingZeros64(nz))) & laneMask)
+		if mode == CountersNone {
+			continue // membership only: no scale, no uniformity
 		}
-		if uniformT && e != firstW&(nz*laneMask) {
-			uniformT = false
+		accMax = maxWord(accMax, w)
+		if mode == CountersUniform && w != 0 {
+			if firstW == 0 {
+				firstW = bcast(uint32(w>>uint(bits.TrailingZeros64(nz))) & laneMask)
+			}
+			if w != firstW&(nz*laneMask) {
+				uniformT = false
+			}
 		}
 	}
 	maxT := uint32(accMax) & laneMask
@@ -108,81 +144,96 @@ func (f *Filter) EncodeTo(dst []byte, mode CounterMode) ([]byte, error) {
 		}
 	}
 	if mode == CountersUniform && !uniformT {
-		return nil, fmt.Errorf("%w: %d set counters span multiple values", ErrNotUniform, nSet)
+		return nil, 0, fmt.Errorf("%w: %d set counters span multiple values", ErrNotUniform, nSet)
 	}
 
-	locBits := bitsFor(f.M())
-	useBitmap := nSet*locBits >= f.M()
-
-	dst = append(dst, wireMagic)
-	flags := byte(mode)
+	// The output size is now known: an 11-byte header, the locations, and
+	// per mode an 8-byte scale plus one byte per set counter.
+	m := f.M()
+	locBits := bitsFor(m)
+	useBitmap := nSet*locBits >= m
+	locLen := (nSet*locBits + 7) / 8
 	if useBitmap {
-		flags |= flagBitmap
+		locLen = (m + 7) / 8
 	}
-	dst = append(dst, flags)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(f.M()))
-	dst = append(dst, byte(f.K()))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(nSet))
-
-	if useBitmap {
-		start := len(dst)
-		for n := (f.M() + 7) / 8; n > 0; n-- {
-			dst = append(dst, 0)
-		}
-		for wi, w := range f.words {
-			if w == 0 {
-				continue
-			}
-			nz := nzLanes(satSubWord(w, pend))
-			// Lane flags sit at bits 0,16,32,48; fold them to bits 0..3.
-			g := (nz | nz>>15 | nz>>30 | nz>>45) & 0xF
-			p := wi * lanesPerWord
-			dst[start+p/8] |= byte(g << (p % 8))
-		}
-	} else {
-		// Pack each set position in locBits bits, MSB first, draining the
-		// accumulator a byte at a time (locBits <= 24, so it never fills).
-		var cur uint64
-		ncur := 0
-		for wi, w := range f.words {
-			if w == 0 {
-				continue
-			}
-			e := satSubWord(w, pend)
-			for nz := nzLanes(e); nz != 0; nz &= nz - 1 {
-				l := bits.TrailingZeros64(nz) / laneBits
-				cur = cur<<locBits | uint64(wi*lanesPerWord+l)
-				ncur += locBits
-				for ncur >= 8 {
-					ncur -= 8
-					dst = append(dst, byte(cur>>ncur))
-				}
-			}
-		}
-		if ncur > 0 {
-			dst = append(dst, byte(cur<<(8-ncur)))
-		}
-	}
-
+	size := 11 + locLen
 	switch mode {
-	case CountersNone:
 	case CountersUniform:
-		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(float64(maxT)*f.quantum))
+		size += 8
 	case CountersFull:
-		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(float64(maxT)*f.quantum))
-		qs := 255.0 / float64(maxT) // hoisted reciprocal; loop is empty when maxT == 0
-		for _, w := range f.words {
+		size += 8 + nSet
+	}
+	start := len(dst)
+	dst = slices.Grow(dst, size)[:start+size]
+	out := dst[start:]
+
+	out[0] = wireMagic
+	out[1] = byte(mode)
+	if useBitmap {
+		out[1] |= flagBitmap
+	}
+	binary.BigEndian.PutUint32(out[2:], uint32(m))
+	out[6] = byte(f.K())
+	binary.BigEndian.PutUint32(out[7:], uint32(nSet))
+	loc, ctr := out[11:11+locLen], out[11+locLen:]
+	if mode != CountersNone {
+		binary.BigEndian.PutUint64(ctr, math.Float64bits(float64(maxT)*f.quantum))
+		ctr = ctr[8:]
+	}
+	if nSet == 0 {
+		return dst, 0, nil
+	}
+
+	// Emission pass: one walk over the settled words writes each set
+	// counter's location and, in full mode, its quantized byte next to
+	// it. The bitmap gets each word's lane flags as a 4-bit group; the
+	// list packs each position in locBits bits, MSB first, draining the
+	// accumulator a byte at a time (locBits <= 24 for any decodable
+	// geometry, so it never fills).
+	full := mode == CountersFull
+	qs := 255.0 / float64(maxT) // hoisted reciprocal; maxT > 0 when nSet > 0
+	ci := 0
+	if useBitmap {
+		clear(loc)
+		for wi, w := range words {
 			if w == 0 {
 				continue
 			}
-			e := satSubWord(w, pend)
-			for nz := nzLanes(e); nz != 0; nz &= nz - 1 {
-				v := uint32(e>>uint(bits.TrailingZeros64(nz))) & laneMask
-				dst = append(dst, quantizeTick(v, qs))
+			nz := nzLanes(w)
+			// Lane flags sit at bits 0,16,32,48; fold them to bits 0..3.
+			loc[wi/2] |= byte((nz|nz>>15|nz>>30|nz>>45)&0xF) << (lanesPerWord * (wi % 2))
+			for ; full && nz != 0; nz &= nz - 1 {
+				ctr[ci] = quantizeTick(uint32(w>>bits.TrailingZeros64(nz))&laneMask, qs)
+				ci++
+			}
+		}
+		return dst, nSet, nil
+	}
+	var cur uint64
+	ncur, li := 0, 0
+	for wi, w := range words {
+		if w == 0 {
+			continue
+		}
+		for nz := nzLanes(w); nz != 0; nz &= nz - 1 {
+			sh := bits.TrailingZeros64(nz)
+			cur = cur<<locBits | uint64(wi*lanesPerWord+sh/laneBits)
+			ncur += locBits
+			for ncur >= 8 {
+				ncur -= 8
+				loc[li] = byte(cur >> ncur)
+				li++
+			}
+			if full {
+				ctr[ci] = quantizeTick(uint32(w>>sh)&laneMask, qs)
+				ci++
 			}
 		}
 	}
-	return dst, nil
+	if ncur > 0 {
+		loc[li] = byte(cur << (8 - ncur))
+	}
+	return dst, nSet, nil
 }
 
 // wireHeader is the parsed fixed-size prefix of a filter encoding.
@@ -279,13 +330,19 @@ func (f *Filter) DecodeInto(data []byte, now time.Duration) error {
 }
 
 // decodeBody fills a zeroed filter of matching geometry from a parsed
-// encoding, marking it merged. It allocates nothing.
+// encoding, marking it merged. Locations and counters stream through in
+// one paired pass, each lane OR-ed into its (zero) word. List-mode
+// locations must be strictly increasing — the encoder only emits them in
+// ascending order — so a decoded filter always has exactly the header's
+// set-bit count, as the bitmap check already guarantees in bitmap mode.
+// It allocates nothing.
 //
 //bsub:hotpath
 func (f *Filter) decodeBody(h wireHeader) error {
 	f.merged = true
 	body := h.body
-	locEnd := 0
+	locBits := bitsFor(h.m)
+	locEnd := (h.nSet*locBits + 7) / 8
 	if h.bitmap {
 		locEnd = (h.m + 7) / 8
 		if len(body) < locEnd {
@@ -295,17 +352,14 @@ func (f *Filter) decodeBody(h wireHeader) error {
 			return fmt.Errorf("%w: bitmap bits beyond vector length", ErrCorrupt)
 		}
 		found := 0
-		for _, b := range body[:locEnd] {
-			found += bits.OnesCount8(b)
+		for off := 0; off < locEnd; off += 8 {
+			found += bits.OnesCount64(bitmapChunk(body[:locEnd], off))
 		}
 		if found != h.nSet {
 			return fmt.Errorf("%w: bitmap has %d set bits, header says %d", ErrCorrupt, found, h.nSet)
 		}
-	} else {
-		locEnd = (h.nSet*bitsFor(h.m) + 7) / 8
-		if len(body) < locEnd {
-			return fmt.Errorf("%w: truncated location list", ErrCorrupt)
-		}
+	} else if len(body) < locEnd {
+		return fmt.Errorf("%w: truncated location list", ErrCorrupt)
 	}
 
 	// Determine the counter value source before walking the positions, so
@@ -342,11 +396,14 @@ func (f *Filter) decodeBody(h wireHeader) error {
 		scale = maxC / 255 * f.invQuantum
 	}
 
+	words := f.words
+	loc := body[:locEnd]
 	if h.bitmap {
 		i := 0
-		for bi := 0; bi < locEnd; bi++ {
-			for b := body[bi]; b != 0; b &= b - 1 {
-				p := uint32(bi*8 + bits.TrailingZeros8(b))
+		for off := 0; off < len(loc); off += 8 {
+			for x := bitmapChunk(loc, off); x != 0; x &= x - 1 {
+				p := off*8 + bits.TrailingZeros64(x)
+				t := uniformTick
 				if counters != nil {
 					q := counters[i]
 					i++
@@ -355,32 +412,57 @@ func (f *Filter) decodeBody(h wireHeader) error {
 						// a set bit is always corruption.
 						return fmt.Errorf("%w: zero counter byte for set bit %d", ErrCorrupt, p)
 					}
-					f.setLane(p, tickFromScaled(q, scale))
-				} else {
-					f.setLane(p, uniformTick)
+					t = tickFromScaled(q, scale)
 				}
+				words[p>>laneShift] |= uint64(t) << (uint(p&(lanesPerWord-1)) * laneBits)
 			}
 		}
-	} else {
-		locBits := bitsFor(h.m)
-		br := bitReader{data: body[:locEnd]}
-		for i := 0; i < h.nSet; i++ {
-			v, ok := br.read(locBits)
-			if !ok || v >= uint64(h.m) {
-				return fmt.Errorf("%w: bad location", ErrCorrupt)
-			}
-			if counters != nil {
-				q := counters[i]
-				if q == 0 {
-					return fmt.Errorf("%w: zero counter byte for set bit %d", ErrCorrupt, v)
-				}
-				f.setLane(uint32(v), tickFromScaled(q, scale))
-			} else {
-				f.setLane(uint32(v), uniformTick)
-			}
+		return nil
+	}
+
+	// Location list: an MSB-first bit accumulator refilled a byte at a
+	// time holds at most locBits+7 live bits, well inside the word.
+	mask := uint64(1)<<locBits - 1
+	var acc uint64
+	nacc, bi, prev := 0, 0, -1
+	for i := 0; i < h.nSet; i++ {
+		for nacc < locBits {
+			acc = acc<<8 | uint64(loc[bi])
+			bi++
+			nacc += 8
 		}
+		nacc -= locBits
+		p := int(acc >> nacc & mask)
+		if p >= h.m || p <= prev {
+			return fmt.Errorf("%w: location %d out of range or order", ErrCorrupt, p)
+		}
+		prev = p
+		t := uniformTick
+		if counters != nil {
+			q := counters[i]
+			if q == 0 {
+				return fmt.Errorf("%w: zero counter byte for set bit %d", ErrCorrupt, p)
+			}
+			t = tickFromScaled(q, scale)
+		}
+		words[p>>laneShift] |= uint64(t) << (uint(p&(lanesPerWord-1)) * laneBits)
 	}
 	return nil
+}
+
+// bitmapChunk returns the 64 bitmap bits starting at byte off — bitmap
+// bit p at bit p-8*off — reading past the end of loc as zeros.
+//
+//bsub:hotpath
+func bitmapChunk(loc []byte, off int) uint64 {
+	if len(loc)-off >= 8 {
+		return binary.LittleEndian.Uint64(loc[off:])
+	}
+	var x uint64
+	for k := len(loc) - 1; k >= off; k-- {
+		x = x<<8 | uint64(loc[k])
+	}
+	return x
 }
 
 // WireSize returns the number of bytes Encode would produce in the given
@@ -417,11 +499,13 @@ func PaperWireBits(nSet, m int, mode CounterMode) int {
 // quantizeTick maps a tick count v in [1, max] to a wire byte in [1, 255]
 // by rounding v*255/max, reserving 0 for unset so that a set bit never
 // round-trips to unset. qs is the caller-hoisted reciprocal 255/max, which
-// turns the per-byte division into a multiply. The float path is exact:
-// v*255 < 2^23 is representable, IEEE division is correctly rounded, and
-// the quotient (denominator <= laneMax) is never within an ulp of a
-// half-integer except when exactly equal — where truncating v*qs + 0.5
-// rounds half up, matching the integer formula (v*510+max)/(2*max).
+// turns the per-byte division into a multiply. The product v*qs is
+// rounded twice (once in qs), so this is not exactly the integer
+// round-half-up formula (v*510+max)/(2*max): when v*255/max is exactly a
+// half-integer and max is not a power of two, v*qs can land an ulp below
+// it and round down (v=25, max=50 gives 127, not 128) — 6451 of the
+// 5.4e8 (v, max) pairs with max <= laneMax. The bytes this produces are
+// the wire format peers already exchange, so the rule stays as it is.
 //
 //bsub:hotpath
 func quantizeTick(v uint32, qs float64) byte {
@@ -478,32 +562,4 @@ func bitsFor(m int) int {
 		b = 1
 	}
 	return b
-}
-
-type bitReader struct {
-	data []byte
-	pos  int // bit position
-}
-
-// read extracts the next n bits MSB-first, a byte-sized chunk at a time
-// rather than bit-by-bit.
-//
-//bsub:hotpath
-func (r *bitReader) read(n int) (uint64, bool) {
-	if r.pos+n > len(r.data)*8 {
-		return 0, false
-	}
-	var v uint64
-	for got := 0; got < n; {
-		avail := 8 - r.pos&7
-		take := n - got
-		if take > avail {
-			take = avail
-		}
-		chunk := uint64(r.data[r.pos>>3]>>(avail-take)) & (1<<take - 1)
-		v = v<<take | chunk
-		r.pos += take
-		got += take
-	}
-	return v, true
 }

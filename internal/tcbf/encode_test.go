@@ -1,6 +1,7 @@
 package tcbf
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -234,8 +235,11 @@ func TestBitsFor(t *testing.T) {
 	}
 }
 
-// bitWriter is the test-side inverse of bitReader: EncodeTo packs location
-// bits inline, so the round-trip partner lives here.
+// bitWriter and bitReader are a longhand, bit-at-a-time MSB-first packer
+// pair. EncodeTo and decodeBody pack and unpack location bits inline with
+// byte-wide accumulators; this pair is the independent reference the
+// longhand wire encoder in model_test.go and the location-list tests
+// build on.
 type bitWriter struct {
 	out  []byte
 	cur  uint64
@@ -259,6 +263,23 @@ func (w *bitWriter) finish() []byte {
 		w.cur, w.ncur = 0, 0
 	}
 	return w.out
+}
+
+type bitReader struct {
+	data []byte
+	pos  int // bit position
+}
+
+func (r *bitReader) read(n int) (uint64, bool) {
+	if r.pos+n > len(r.data)*8 {
+		return 0, false
+	}
+	var v uint64
+	for i := 0; i < n; i++ {
+		v = v<<1 | uint64(r.data[r.pos>>3]>>(7-r.pos&7))&1
+		r.pos++
+	}
+	return v, true
 }
 
 func TestBitWriterReaderRoundTrip(t *testing.T) {
@@ -376,5 +397,212 @@ func TestDecodeRejectsHugeGeometry(t *testing.T) {
 	data := []byte{wireMagic, byte(CountersFull), 0xA5, 0xD9, 0xF2, 0x40, 0x24, 0, 0, 0, 0, 0, 0, 0xA5}
 	if _, err := Decode(data, Config{Initial: 10}, 0); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("huge-m header: error = %v, want ErrCorrupt", err)
+	}
+}
+
+// listWire builds a list-mode CountersNone encoding of the given
+// positions, in the given order, with the longhand bitWriter.
+func listWire(m, k int, pos []int) []byte {
+	n := len(pos)
+	w := bitWriter{out: []byte{wireMagic, byte(CountersNone),
+		byte(m >> 24), byte(m >> 16), byte(m >> 8), byte(m), byte(k),
+		byte(n >> 24), byte(n >> 16), byte(n >> 8), byte(n)}}
+	for _, p := range pos {
+		w.write(uint64(p), refLocBits(m))
+	}
+	return w.finish()
+}
+
+// The inline location reader must unpack every width the encoder can
+// emit, and reject lists that are not strictly increasing: a duplicate or
+// out-of-order location would leave the decoded filter with fewer set
+// bits than the header's count.
+func TestDecodeLocationList(t *testing.T) {
+	for _, tc := range []struct {
+		m   int
+		pos []int
+	}{
+		{2, []int{1}},
+		{5, []int{0, 4}},
+		{37, []int{0, 1, 17, 36}},
+		{256, []int{3, 9, 200, 255}},
+		{1000, []int{7, 511, 512, 999}},
+		{1 << 20, []int{0, 65535, 1<<20 - 1}},
+	} {
+		f, err := Decode(listWire(tc.m, 2, tc.pos), Config{Initial: 10}, 0)
+		if err != nil {
+			t.Fatalf("m=%d %v: %v", tc.m, tc.pos, err)
+		}
+		if got := f.SetBits(); got != len(tc.pos) {
+			t.Fatalf("m=%d: %d set bits, want %d", tc.m, got, len(tc.pos))
+		}
+		for _, p := range tc.pos {
+			if f.Counter(p) != 10 {
+				t.Fatalf("m=%d: counter[%d] = %v, want 10", tc.m, p, f.Counter(p))
+			}
+		}
+	}
+	for name, pos := range map[string][]int{
+		"duplicate":    {3, 9, 9, 40},
+		"descending":   {40, 9},
+		"out of order": {3, 40, 9, 41},
+		"out of range": {3, 64},
+	} {
+		if _, err := Decode(listWire(64, 2, pos), Config{Initial: 10}, 0); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s list %v: err = %v, want ErrCorrupt", name, pos, err)
+		}
+	}
+}
+
+// Encoding settles pending decay in place, and that must be invisible:
+// after encoding, counters, minimum counters, a following merge and a
+// second encoding all match an un-encoded clone — with a sub-tick decay
+// remainder pending, and across a decay-factor retune.
+func TestEncodeIsObservablyPure(t *testing.T) {
+	cfg := Config{M: 128, K: 4, Initial: 10, DecayPerMinute: 1}
+	keys := []string{"a", "b", "c", "d", "e", "f"}
+	pres := make([]PreKey, len(keys))
+	for i, k := range keys {
+		pres[i] = Precompute(k)
+	}
+	build := func() (*Filter, *Partitioned, *Filter, *Partitioned) {
+		f, p := MustNew(cfg, 0), MustNewPartitioned(cfg, 3, 0)
+		of, op := MustNew(cfg, 0), MustNewPartitioned(cfg, 3, 0)
+		for i, k := range keys {
+			at := time.Duration(i) * 50 * time.Second
+			dst, pdst := f, p
+			if i%3 == 2 {
+				dst, pdst = of, op
+			}
+			if err := dst.Insert(k, at); err != nil {
+				t.Fatal(err)
+			}
+			if err := pdst.Insert(k, at); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return f, p, of, op
+	}
+	// Both halves of each pair see the same operations; only the first
+	// was encoded beforehand.
+	same := func(stage string, f, c *Filter, p, pc *Partitioned, now time.Duration) {
+		t.Helper()
+		for i := 0; i < f.M(); i++ {
+			if f.Counter(i) != c.Counter(i) {
+				t.Fatalf("%s: counter[%d] = %v, clone %v", stage, i, f.Counter(i), c.Counter(i))
+			}
+		}
+		for _, k := range pres {
+			a, err1 := f.MinCounterPre(k, now)
+			b, err2 := c.MinCounterPre(k, now)
+			pa, err3 := p.MinCounterPre(k, now)
+			pb, err4 := pc.MinCounterPre(k, now)
+			if err := errors.Join(err1, err2, err3, err4); err != nil {
+				t.Fatal(err)
+			}
+			if a != b || pa != pb {
+				t.Fatalf("%s: MinCounterPre(%s) = %v/%v, clone %v/%v", stage, k.Key, a, pa, b, pb)
+			}
+		}
+		if f.SetBits() != c.SetBits() || p.SetBits() != pc.SetBits() {
+			t.Fatalf("%s: SetBits %d/%d, clone %d/%d", stage, f.SetBits(), p.SetBits(), c.SetBits(), pc.SetBits())
+		}
+	}
+	encodeAll := func(f *Filter, p *Partitioned) []byte {
+		t.Helper()
+		var out []byte
+		for _, mode := range []CounterMode{CountersFull, CountersNone} {
+			var err error
+			if out, err = f.EncodeTo(out, mode); err != nil {
+				t.Fatal(err)
+			}
+			if out, err = p.EncodeTo(out, mode); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+
+	for _, additive := range []bool{false, true} {
+		f, p, of, op := build()
+		// 7m30.123s: whole ticks pending plus a sub-tick remainder.
+		now := 7*time.Minute + 30*time.Second + 123*time.Millisecond
+		for _, err := range []error{f.Advance(now), p.Advance(now)} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if f.pendingTicks == 0 || f.pendingNanos == 0 {
+			t.Fatalf("setup: pending ticks %d, remainder %d ns; want both non-zero", f.pendingTicks, f.pendingNanos)
+		}
+		c, pc := f.Clone(), p.Clone()
+		encodeAll(f, p)
+		same("after encode", f, c, p, pc, now)
+
+		// A merge after the encode, at a later clock.
+		now += 95*time.Second + 7*time.Millisecond
+		oc, opc := of.Clone(), op.Clone()
+		merge := func(f, o *Filter, p, op *Partitioned) {
+			t.Helper()
+			var err1, err2 error
+			if additive {
+				err1, err2 = f.AMerge(o, now), p.AMerge(op, now)
+			} else {
+				err1, err2 = f.MMerge(o, now), p.MMerge(op, now)
+			}
+			if err := errors.Join(err1, err2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		merge(f, of, p, op)
+		merge(c, oc, pc, opc)
+		same("after merge", f, c, p, pc, now)
+		if second, want := encodeAll(f, p), encodeAll(c, pc); !bytes.Equal(second, want) {
+			t.Fatalf("second encoding %x, un-encoded clone %x", second, want)
+		}
+
+		// Pending decay, an encode, then a DF retune and more decay.
+		now += 2*time.Minute + 11*time.Millisecond
+		for _, err := range []error{f.Advance(now), p.Advance(now)} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		c, pc = f.Clone(), p.Clone()
+		encodeAll(f, p)
+		retune := now + 13*time.Second
+		for _, err := range []error{
+			f.SetDecayFactor(2.5, retune), p.SetDecayFactor(2.5, retune),
+			c.SetDecayFactor(2.5, retune), pc.SetDecayFactor(2.5, retune),
+		} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		now = retune + 41*time.Second + 3*time.Millisecond
+		same("after retune", f, c, p, pc, now)
+		if second, want := encodeAll(f, p), encodeAll(c, pc); !bytes.Equal(second, want) {
+			t.Fatalf("after retune: encoding %x, un-encoded clone %x", second, want)
+		}
+	}
+}
+
+// The counter-byte rounding is part of the wire format: a reciprocal
+// multiply that rounds a few exact half-way quotients down. Pin it so a
+// "fix" to exact integer rounding cannot silently change encoded bytes.
+func TestQuantizeTickWireRule(t *testing.T) {
+	for _, tc := range []struct {
+		v, max uint32
+		want   byte
+	}{
+		{25, 50, 127},     // 127.5 exactly, rounded down by the reciprocal
+		{45, 50, 229},     // 229.5 likewise
+		{512, 1024, 128},  // 127.5 with an exact (dyadic) reciprocal: up
+		{1, 32767, 1},     // floor at 1: a set bit never encodes as unset
+		{1024, 1024, 255}, // the maximum always encodes as 255
+	} {
+		if got := quantizeTick(tc.v, 255/float64(tc.max)); got != tc.want {
+			t.Errorf("quantizeTick(%d, 255/%d) = %d, want %d", tc.v, tc.max, got, tc.want)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package tcbf
 
 import (
+	"encoding/binary"
 	"encoding/hex"
 	"testing"
 	"time"
@@ -8,7 +9,7 @@ import (
 
 // FuzzDecode hardens the wire decoder against adversarial bytes: it must
 // never panic, and any successfully decoded filter must be internally
-// consistent.
+// consistent and hold exactly the set-bit count its header declares.
 func FuzzDecode(f *testing.F) {
 	cfg := Config{M: 256, K: 4, Initial: 10, DecayPerMinute: 1}
 	seedFilter := MustNew(cfg, 0)
@@ -90,6 +91,12 @@ func FuzzDecode(f *testing.F) {
 		}
 		if set != decoded.SetBits() {
 			t.Fatalf("SetBits %d != scan %d", decoded.SetBits(), set)
+		}
+		// Every accepted encoding sets exactly the header's count: the
+		// bitmap must carry that many bits and a location list must be
+		// strictly increasing, so no duplicate can collapse two entries.
+		if nSet := int(binary.BigEndian.Uint32(data[7:11])); set != nSet {
+			t.Fatalf("decoded %d set bits, header says %d", set, nSet)
 		}
 		// Re-encoding a decoded filter must succeed.
 		if _, err := decoded.Encode(CountersFull); err != nil {

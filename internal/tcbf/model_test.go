@@ -3,10 +3,12 @@ package tcbf
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"hash/fnv"
 	"io"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 )
@@ -199,6 +201,87 @@ func (r *refTCBF) uniform() bool {
 	return true
 }
 
+// refLocBits restates bitsFor longhand: the smallest width b >= 1 with
+// 2^b >= m.
+func refLocBits(m int) int {
+	b := 1
+	for 1<<b < m {
+		b++
+	}
+	return b
+}
+
+// refEncode is a longhand Section VI-C encoder over the model's counters:
+// sorted positions from the map, the 11-byte header spelled out field by
+// field, locations through the bit-at-a-time bitWriter (or a bitmap set
+// bit by bit), and counter bytes rounded from v times the reciprocal
+// 255/max, floored at 1. The reciprocal multiply, not an exact integer
+// rounding, is the wire rule (see quantizeTick).
+func refEncode(r *refTCBF, mode CounterMode) ([]byte, error) {
+	if mode == CountersUniform && !r.uniform() {
+		return nil, ErrNotUniform
+	}
+	pos := make([]int, 0, len(r.c))
+	maxT := uint32(0)
+	for p, c := range r.c {
+		pos = append(pos, p)
+		if c > maxT {
+			maxT = c
+		}
+	}
+	sort.Ints(pos)
+	nSet := len(pos)
+	locBits := refLocBits(r.m)
+	bitmap := nSet*locBits >= r.m
+	flags := byte(mode)
+	if bitmap {
+		flags |= 0x04
+	}
+	out := []byte{0xB5, flags,
+		byte(r.m >> 24), byte(r.m >> 16), byte(r.m >> 8), byte(r.m),
+		byte(r.k),
+		byte(nSet >> 24), byte(nSet >> 16), byte(nSet >> 8), byte(nSet)}
+	if bitmap {
+		vec := make([]byte, (r.m+7)/8)
+		for _, p := range pos {
+			vec[p/8] |= 1 << (p % 8)
+		}
+		out = append(out, vec...)
+	} else {
+		w := bitWriter{out: out}
+		for _, p := range pos {
+			w.write(uint64(p), locBits)
+		}
+		out = w.finish()
+	}
+	if mode == CountersNone {
+		return out, nil
+	}
+	scale := math.Float64bits(float64(maxT) * (r.cfg.Initial / refInitTicks))
+	for sh := 56; sh >= 0; sh -= 8 {
+		out = append(out, byte(scale>>sh))
+	}
+	if mode == CountersFull {
+		for _, p := range pos {
+			q := math.Floor(float64(r.c[p])*(255/float64(maxT)) + 0.5)
+			if q < 1 {
+				q = 1
+			}
+			out = append(out, byte(q))
+		}
+	}
+	return out, nil
+}
+
+// dirtyPrefix returns the two bytes DE AD with spare capacity full of
+// garbage, so an encoder appending to it must write every byte it claims:
+// one it skips shows up as garbage instead of a lucky zero.
+func dirtyPrefix() []byte {
+	b := bytes.Repeat([]byte{0xA5}, 4096)
+	b[0], b[1] = 0xDE, 0xAD
+	return b[:2]
+}
+
 // modelState is the interpreter state: two filter/model pairs (so merges
 // have a source), a monotonic clock, and a scratch filter for DecodeInto.
 type modelState struct {
@@ -365,15 +448,18 @@ func (st *modelState) step(t *testing.T, op, arg byte) {
 	st.compare(t, "after op")
 }
 
-// checkWire pins the append-style encoder and the in-place decoder to
-// their allocating counterparts on f1's current state, and the uniform
-// mode's refusal of non-uniform counters to the model's view.
+// checkWire pins the encoder byte for byte to the longhand reference
+// encoder over the model's counters, the append-style encoder and the
+// in-place decoder to their allocating counterparts on f1's current
+// state, and the uniform mode's refusal of non-uniform counters to the
+// model's view.
 func (st *modelState) checkWire(t *testing.T, mode CounterMode) {
 	t.Helper()
 	st.r1.advance(st.now) // encoding reflects the advanced clock
+	want, wantErr := refEncode(st.r1, mode)
 	plain, err := st.f1.Encode(mode)
 	if mode == CountersUniform {
-		if wantErr := !st.r1.uniform(); wantErr != (err != nil) || (err != nil && !errors.Is(err, ErrNotUniform)) {
+		if (wantErr != nil) != (err != nil) || (err != nil && !errors.Is(err, ErrNotUniform)) {
 			t.Fatalf("uniform encode err = %v, model uniform %v", err, st.r1.uniform())
 		}
 		if err != nil {
@@ -385,12 +471,15 @@ func (st *modelState) checkWire(t *testing.T, mode CounterMode) {
 	} else if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	prefix := []byte{0xDE, 0xAD}
+	if !bytes.Equal(plain, want) {
+		t.Fatalf("Encode (mode %d) = %x, reference %x", mode, plain, want)
+	}
+	prefix := dirtyPrefix()
 	appended, err := st.f1.EncodeTo(prefix, mode)
 	if err != nil {
 		t.Fatalf("encode to: %v", err)
 	}
-	if !bytes.Equal(appended[:2], prefix) || !bytes.Equal(appended[2:], plain) {
+	if !bytes.Equal(appended[:2], []byte{0xDE, 0xAD}) || !bytes.Equal(appended[2:], plain) {
 		t.Fatalf("EncodeTo bytes diverge from Encode (mode %d)", mode)
 	}
 	fresh, err := Decode(plain, st.f1.Config(), st.now)
@@ -456,4 +545,155 @@ func FuzzTCBFModel(f *testing.F) {
 		}
 		runModelTape(t, tape)
 	})
+}
+
+// refRoute restates the partition routing hash with hash/fnv: FNV-1a/32
+// over a 0x7A prefix byte plus the key.
+func refRoute(key string, h int) int {
+	d := fnv.New32a()
+	_, _ = d.Write([]byte{0x7A})
+	_, _ = io.WriteString(d, key)
+	return int(d.Sum32() % uint32(h))
+}
+
+// refEncodePartitioned is the longhand partitioned encoder: magic 0xBA,
+// the partition count, then each partition as a 4-byte big-endian length
+// and its refEncode bytes, an empty partition as a zero length alone.
+func refEncodePartitioned(parts []*refTCBF, mode CounterMode) ([]byte, error) {
+	out := []byte{0xBA, byte(len(parts))}
+	for _, r := range parts {
+		if len(r.c) == 0 {
+			out = append(out, 0, 0, 0, 0)
+			continue
+		}
+		b, err := refEncode(r, mode)
+		if err != nil {
+			return nil, err
+		}
+		n := len(b)
+		out = append(out, byte(n>>24), byte(n>>16), byte(n>>8), byte(n))
+		out = append(out, b...)
+	}
+	return out, nil
+}
+
+// TestPartitionedEncodeMatchesReference drives a partitioned filter and
+// one reference model per partition through staggered inserts, pending
+// decay that empties whole partitions, merges, DF retunes and resets, and
+// compares the partitioned encoding byte for byte with the longhand
+// reference in every counter mode after each step. Partition counts
+// above the key count guarantee empty partitions from the start; M=100
+// packs 7-bit locations, so lists end on every possible partial byte.
+func TestPartitionedEncodeMatchesReference(t *testing.T) {
+	var sawEmpty, sawBitmap, sawList, sawRefused bool
+	tails := map[int]bool{}
+	for _, tc := range []struct{ m, k, h int }{{64, 4, 1}, {64, 4, 3}, {64, 4, 16}, {100, 3, 1}, {100, 2, 2}, {100, 1, 1}} {
+		cfg := Config{M: tc.m, K: tc.k, Initial: 3, DecayPerMinute: 1}
+		h := tc.h
+		rng := rand.New(rand.NewSource(int64(tc.m + h)))
+		p := MustNewPartitioned(cfg, h, 0)
+		donor := MustNewPartitioned(cfg, h, 0)
+		refs := make([]*refTCBF, h)
+		donorRefs := make([]*refTCBF, h)
+		for i := range refs {
+			refs[i] = newRefTCBF(cfg, 0)
+			donorRefs[i] = newRefTCBF(cfg, 0)
+		}
+		now := time.Duration(0)
+		check := func(stage string) {
+			t.Helper()
+			for mode := CountersNone; mode <= CountersFull; mode++ {
+				nonEmpty := 0
+				for _, r := range refs {
+					r.advance(now)
+					if n := len(r.c); n > 0 {
+						nonEmpty++
+						sawBitmap = sawBitmap || n*refLocBits(r.m) >= r.m
+						if n*refLocBits(r.m) < r.m {
+							sawList = true
+							tails[n*refLocBits(r.m)%8] = true
+						}
+					}
+				}
+				sawEmpty = sawEmpty || (nonEmpty > 0 && nonEmpty < h)
+				want, wantErr := refEncodePartitioned(refs, mode)
+				sawRefused = sawRefused || wantErr != nil
+				got, err := p.EncodeTo(dirtyPrefix(), mode)
+				if (err != nil) != (wantErr != nil) || (err != nil && !errors.Is(err, ErrNotUniform)) {
+					t.Fatalf("m=%d h=%d %s mode %d: err %v, reference err %v", tc.m, h, stage, mode, err, wantErr)
+				}
+				if err != nil {
+					continue
+				}
+				if !bytes.Equal(got[:2], []byte{0xDE, 0xAD}) || !bytes.Equal(got[2:], want) {
+					t.Fatalf("m=%d h=%d %s mode %d:\n got %x\nwant %x", tc.m, h, stage, mode, got[2:], want)
+				}
+			}
+		}
+		for step := 0; step < 400; step++ {
+			key := modelKeys[rng.Intn(len(modelKeys))]
+			switch op := rng.Intn(7); {
+			case op <= 1 && !refs[0].merged:
+				if err := p.Insert(key, now); err != nil {
+					t.Fatal(err)
+				}
+				refs[refRoute(key, h)].insert(key, now)
+			case op == 2:
+				if err := donor.Insert(key, now); err != nil {
+					t.Fatal(err)
+				}
+				donorRefs[refRoute(key, h)].insert(key, now)
+			case op == 3:
+				additive := rng.Intn(2) == 0
+				var err error
+				if additive {
+					err = p.AMerge(donor, now)
+				} else {
+					err = p.MMerge(donor, now)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range refs {
+					refs[i].merge(donorRefs[i], now, additive)
+				}
+			case op == 4:
+				df := float64(rng.Intn(6)) / 2
+				if err := p.SetDecayFactor(df, now); err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range refs {
+					r.setDF(df, now)
+				}
+			case op == 5:
+				// Start over, which unlocks inserts into p again.
+				p.Reset(now)
+				for _, r := range refs {
+					r.reset(now)
+				}
+			default:
+				// Mostly sub-minute steps with a sub-tick remainder, now
+				// and then long enough to decay whole partitions away.
+				now += time.Duration(rng.Intn(90))*time.Second + 37*time.Millisecond
+				if rng.Intn(8) == 0 {
+					now += 3 * time.Minute
+				}
+				if err := p.Advance(now); err != nil {
+					t.Fatal(err)
+				}
+				if err := donor.Advance(now); err != nil {
+					t.Fatal(err)
+				}
+				for i := range refs {
+					refs[i].advance(now)
+					donorRefs[i].advance(now)
+				}
+			}
+			check(fmt.Sprintf("step %d", step))
+		}
+	}
+	if !sawEmpty || !sawBitmap || !sawList || !sawRefused || len(tails) != 8 {
+		t.Fatalf("cases not reached: empty partition %v, bitmap %v, list %v, uniform refusal %v, list tail lengths %v",
+			sawEmpty, sawBitmap, sawList, sawRefused, tails)
+	}
 }

@@ -346,24 +346,30 @@ func (p *Partitioned) Encode(mode CounterMode) ([]byte, error) {
 
 // EncodeTo appends the partitioned wire encoding to dst and returns the
 // extended slice — the same bytes Encode produces, into a caller-reused
-// buffer.
+// buffer. Like Filter.EncodeTo it settles pending decay in place, so it
+// is a mutating call under the same single-owner rule as a merge.
 //
 //bsub:hotpath
 func (p *Partitioned) EncodeTo(dst []byte, mode CounterMode) ([]byte, error) {
+	if err := checkMode(mode); err != nil {
+		return nil, err
+	}
 	dst = append(dst, wireMagic^0x0F, byte(len(p.parts)))
 	for _, f := range p.parts {
-		if f.SetBits() == 0 {
-			dst = binary.BigEndian.AppendUint32(dst, 0)
-			continue
-		}
-		// Reserve the length prefix and backpatch it once the partition's
-		// actual encoded size is known.
+		// Reserve a zero length prefix and backpatch it once the
+		// partition's encoded size is known; an empty partition keeps the
+		// zero prefix and drops its body.
 		lenAt := len(dst)
 		dst = append(dst, 0, 0, 0, 0)
+		var nSet int
 		var err error
-		dst, err = f.EncodeTo(dst, mode)
+		dst, nSet, err = f.encodeTo(dst, mode)
 		if err != nil {
 			return nil, err
+		}
+		if nSet == 0 {
+			dst = dst[:lenAt+4]
+			continue
 		}
 		binary.BigEndian.PutUint32(dst[lenAt:], uint32(len(dst)-lenAt-4))
 	}

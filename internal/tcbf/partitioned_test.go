@@ -303,3 +303,25 @@ func TestDecodePartitionedNeverPanicsProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// An unknown counter mode must be refused even when every partition is
+// empty: the per-partition encoder that also checks it never runs on an
+// empty partition's body.
+func TestPartitionedEncodeRejectsUnknownMode(t *testing.T) {
+	cfg := testConfig()
+	empty := MustNewPartitioned(cfg, 4, 0)
+	one := MustNewPartitioned(cfg, 4, 0)
+	if err := one.Insert("k", 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*Partitioned{empty, one} {
+		for _, mode := range []CounterMode{0, CountersFull + 1, 9} {
+			if b, err := p.EncodeTo(nil, mode); err == nil {
+				t.Errorf("mode %d on %d set bits: encoded %x, want an error", mode, p.SetBits(), b)
+			}
+			if _, err := p.Encode(mode); err == nil {
+				t.Errorf("Encode mode %d on %d set bits: no error", mode, p.SetBits())
+			}
+		}
+	}
+}

@@ -31,9 +31,13 @@
 // lazy: Advance only converts elapsed time into a pending whole-tick debt
 // (integer nanosecond arithmetic, so decay composes exactly across
 // arbitrary Advance sequences), and the debt is settled word-at-a-time on
-// the next insert, folded for free into the next merge pass, or applied
-// on the fly by queries without touching the stored words at all. A TCBF
-// is a pure data structure with no background goroutines.
+// the next insert or encode, folded for free into the next merge pass, or
+// applied on the fly by queries without touching the stored words at all.
+// Settling is exact, since saturating subtraction composes, so it is
+// invisible to every observer; but because encoding settles, Encode and
+// EncodeTo mutate the filter and fall under the same single-owner rule as
+// inserts and merges. A TCBF is a pure data structure with no background
+// goroutines.
 package tcbf
 
 import (

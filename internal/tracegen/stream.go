@@ -178,7 +178,7 @@ func NewStream(cfg Config) (*Stream, error) {
 		lnq := math.Log1p(-crossLink)
 		k := int64(-1)
 		for {
-			gap := math.Log(1 - crossRng.Float64()) / lnq
+			gap := math.Log(1-crossRng.Float64()) / lnq
 			if gap >= float64(totalPairs-k) {
 				break // jumped past the last pair
 			}
