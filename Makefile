@@ -1,7 +1,7 @@
 GO ?= go
 SHADOW := $(shell command -v shadow 2>/dev/null)
 
-.PHONY: build test race vet vet-shadow fmt-check lint lint-fast lint-one lint-timing parity chaos chaos-mesh fuzz golden bench-smoke determinism scale ablation ablation-smoke perfbench-test check bench bench-json
+.PHONY: build test race vet vet-shadow fmt-check lint lint-one parity chaos chaos-mesh fuzz golden bench-smoke determinism scale ablation ablation-smoke perfbench-test check bench
 
 build:
 	$(GO) build ./...
@@ -30,9 +30,9 @@ else
 	$(GO) vet -unreachable -unusedresult -lostcancel ./...
 endif
 
-# The linter is built once into bin/bsublint and shared by lint,
-# lint-one, and lint-fast; the binary rebuilds only when its sources
-# change, so repeated lint invocations skip the `go run` build step.
+# The linter is built once into bin/bsublint and shared by lint and
+# lint-one; the binary rebuilds only when its sources change, so
+# repeated lint invocations skip the `go run` build step.
 BSUBLINT := bin/bsublint
 LINT_SRC := $(wildcard cmd/bsublint/*.go internal/lint/*.go) go.mod
 
@@ -44,34 +44,13 @@ $(BSUBLINT): $(LINT_SRC)
 # core, no blocking I/O under locks, no dropped wire errors, goroutines
 # tied to shutdown paths, //bsub:lockrank ordering, and wire-tainted
 # lengths validated before use. See DESIGN.md §9 for the invariant
-# table. Always a full cold run — the authoritative gate.
+# table.
 lint: $(BSUBLINT)
 	$(BSUBLINT) ./...
-
-# lint-fast is the incremental developer loop: findings are cached in
-# bin/.lintcache keyed by content hashes of each package's files and
-# transitive deps, so a warm run with no changes replays the stored
-# findings (byte-identical to `make lint`) without loading or
-# type-checking anything. Any edit falls back to a full run that
-# refreshes the cache.
-lint-fast: $(BSUBLINT)
-	$(BSUBLINT) -cache bin/.lintcache ./...
 
 # lint-one runs a single analyzer, e.g. `make lint-one ANALYZER=lockio`.
 lint-one: $(BSUBLINT)
 	$(BSUBLINT) -analyzers $(ANALYZER) ./...
-
-# lint-timing records the full-vs-incremental linter wall time in
-# BENCH_PR10.json: one cold run that rebuilds the cache, then one warm
-# full-hit run.
-lint-timing: $(BSUBLINT)
-	@rm -rf bin/.lintcache
-	@t0=$$(date +%s%N); $(BSUBLINT) -cache bin/.lintcache ./... >/dev/null; \
-	t1=$$(date +%s%N); $(BSUBLINT) -cache bin/.lintcache ./... >/dev/null; \
-	t2=$$(date +%s%N); \
-	printf '{\n  "lint_full_cold_ms": %d,\n  "lint_fast_warm_ms": %d\n}\n' \
-		$$(( (t1 - t0) / 1000000 )) $$(( (t2 - t1) / 1000000 )) > BENCH_PR10.json
-	@cat BENCH_PR10.json
 
 # parity replays one deterministic contact sequence through the simulator
 # adapter and through live TCP-framed nodes under the race detector and
@@ -133,17 +112,16 @@ determinism:
 		./internal/sim ./internal/experiments
 
 # scale runs the full ROADMAP population sweep (10k / 100k / 1M nodes,
-# takes minutes and a few GB of RAM) and leaves scale.csv + scale.json in
-# artifacts/; bench-json embeds artifacts/scale.json when present.
+# takes minutes and a few GB of RAM) and leaves scale.csv in artifacts/.
 scale:
 	$(GO) run ./cmd/experiments -run scale -csv artifacts
 
 # ablation runs the full ablation battery — including the filter-backend
 # matrix over the fig7/fig9 traces and the 10k-node streamed population —
-# leaving the CSV grids in artifacts/ and the backend comparison in
-# BENCH_PR9.json. Takes minutes.
+# leaving the CSV grids in artifacts/ and printing the population leg.
+# Takes minutes.
 ablation:
-	$(GO) run ./cmd/experiments -run ablation -csv artifacts -bench-json BENCH_PR9.json
+	$(GO) run ./cmd/experiments -run ablation -csv artifacts
 
 # ablation-smoke is the quick-mode backend-matrix gate: the conformance
 # subjects build, every backend survives a full trace replay and the
@@ -151,36 +129,26 @@ ablation:
 ablation-smoke:
 	$(GO) test -count=1 -run 'TestFilterBackendsMatrix|TestBackendAblationGolden|TestBackendScaleSweepQuick' ./internal/experiments
 
-# perfbench-test runs the benchmark module's own tests (about 5 s): the
-# tracing decorators must stay transparent to the simulator's reports and
-# the loopback mesh must deliver exactly once, so an engine change that
-# breaks either fails the gate, not the benchmark run.
+# perfbench-test vets the benchmark module and runs its own tests (about
+# 5 s): the tracing decorators must stay transparent to the simulator's
+# reports and the loopback mesh must deliver exactly once, so an engine
+# change that breaks either fails the gate, not the benchmark run. The
+# module is nested, so `make vet` does not reach it.
 perfbench-test:
+	cd perfbench && GOFLAGS=-mod=mod $(GO) vet ./...
 	cd perfbench && GOFLAGS=-mod=mod $(GO) test ./...
 
 # check is the PR gate: gofmt cleanliness, vet (plus the shadow pass),
-# the repo-specific analyzers (full cold run, then the incremental cache
-# path so a stale or corrupt cache can never pass the gate silently), the
-# quick sharded-determinism gate, and the full suite under the race detector,
-# then sim/live parity, the chaos suite, the mesh churn controller, a
-# fuzz smoke pass over the wire decoders, the engine state machine, the
-# TCBF differential model, and the cross-backend filter conformance
-# suite, the golden-CSV comparisons, the filter-backend ablation smoke,
-# a benchmark smoke run, and the benchmark module's tests. The livenode
+# the repo-specific analyzers, the quick sharded-determinism gate, and
+# the full suite under the race detector, then sim/live parity, the
+# chaos suite, the mesh churn controller, a fuzz smoke pass over the
+# wire decoders, the engine state machine, the TCBF differential model,
+# and the cross-backend filter conformance suite, the golden-CSV
+# comparisons, the filter-backend ablation smoke, a benchmark smoke
+# run, and the benchmark module's vet and tests. The livenode
 # session adapter and the mesh daemon are concurrent; never ship them
 # unraced.
-check: fmt-check vet vet-shadow lint lint-fast determinism race parity chaos chaos-mesh fuzz golden ablation-smoke bench-smoke perfbench-test
+check: fmt-check vet vet-shadow lint determinism race parity chaos chaos-mesh fuzz golden ablation-smoke bench-smoke perfbench-test
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
-
-# bench-json captures the hot-path benchmarks plus end-to-end simulator
-# throughput (contacts/s at 10k and 100k nodes) as a JSON document for
-# checking in (BENCH_PR8.json; BENCH_PR6.json recorded the packed-counter
-# contact path). When `make scale` has left artifacts/scale.json behind,
-# the full 10k/100k/1M sweep is embedded as the document's "scale" field.
-bench-json:
-	{ $(GO) test -run '^$$' -bench 'BenchmarkEngineContact|InsertPre|ContainsPre|MMergeInPlace|EncodeTo|DecodeInto|EncodeFull|DecodeFull' \
-		-benchmem -count=1 ./internal/engine ./internal/tcbf ; \
-	  $(GO) test -run '^$$' -bench BenchmarkScaleSim -benchtime 1x -count=1 ./internal/experiments ; } \
-		| $(GO) run ./cmd/benchjson $(if $(wildcard artifacts/scale.json),-scale artifacts/scale.json) > BENCH_PR8.json

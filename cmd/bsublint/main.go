@@ -6,16 +6,11 @@
 //
 // Usage:
 //
-//	bsublint [-analyzers name,name] [-format text|json] [-cache dir] [-list] [packages ...]
+//	bsublint [-analyzers name,name] [-format text|json] [-list] [packages ...]
 //
 // -format json emits the findings as a JSON array of
 // {file, line, analyzer, message} objects on stdout (an empty run emits
-// []); exit codes are unchanged. -cache dir enables the incremental
-// findings cache: a warm run whose package contents are byte-identical
-// to the cached run replays the stored findings without loading or
-// type-checking anything, and any change falls back to a full run that
-// refreshes the cache. The cache only engages for the default ./...
-// package pattern — an explicit pattern always runs cold.
+// []); exit codes are unchanged.
 //
 // Findings can be suppressed at the site with
 // //lint:ignore bsub/<analyzer> reason — the directive covers its own
@@ -53,7 +48,6 @@ func run(dir string, args []string, stdout, stderr io.Writer) int {
 	flags.SetOutput(stderr)
 	names := flags.String("analyzers", "", "comma-separated analyzer subset (default: all)")
 	format := flags.String("format", "text", "output format: text or json")
-	cacheDir := flags.String("cache", "", "findings cache directory (empty: no caching)")
 	list := flags.Bool("list", false, "list analyzers and exit")
 	if err := flags.Parse(args); err != nil {
 		return 2
@@ -78,39 +72,13 @@ func run(dir string, args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// The cache stores whole-module results, so it only applies to the
-	// default ./... run (spelled out or implied); narrower package
-	// patterns bypass it.
-	wholeModule := len(flags.Args()) == 0 ||
-		(len(flags.Args()) == 1 && flags.Args()[0] == "./...")
-	var findings []lint.Diagnostic
-	var suppressed int
-	cached := false
-	if *cacheDir != "" && wholeModule {
-		if run, ok := lint.TryCache(dir, *cacheDir, analyzers); ok {
-			findings, suppressed = run.Findings, run.Suppressed
-			cached = true
-		}
+	prog, err := lint.LoadModule(dir, flags.Args()...)
+	if err != nil {
+		fmt.Fprintln(stderr, "bsublint:", err)
+		return 2
 	}
-	if !cached {
-		prog, err := lint.LoadModule(dir, flags.Args()...)
-		if err != nil {
-			fmt.Fprintln(stderr, "bsublint:", err)
-			return 2
-		}
-		results := prog.RunPackages(prog.Module, analyzers...)
-		for _, r := range results {
-			findings = append(findings, r.Findings...)
-			suppressed += r.Suppressed
-		}
-		if *cacheDir != "" && wholeModule {
-			if err := lint.WriteCache(dir, *cacheDir, prog, results, analyzers); err != nil {
-				fmt.Fprintln(stderr, "bsublint: cache write:", err)
-			}
-		}
-		lint.Relativize(dir, findings)
-		lint.SortDiagnostics(findings)
-	}
+	findings, suppressed := prog.Run(analyzers...)
+	lint.Relativize(dir, findings)
 
 	switch *format {
 	case "json":

@@ -3,13 +3,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
-
-	"bsub/internal/lint"
 )
 
 var fixtureDir = filepath.Join("testdata", "module")
@@ -154,130 +151,5 @@ func TestRunFormatTextIsDefault(t *testing.T) {
 	_, explicit, _ := runIn(t, fixtureDir, "-format", "text", "./...")
 	if implicit != explicit {
 		t.Errorf("-format text output differs from default:\n%q\nvs\n%q", explicit, implicit)
-	}
-}
-
-// copyFixture clones the fixture module into a temp dir so cache tests
-// can mutate source files without touching the checked-in tree.
-func copyFixture(t *testing.T) string {
-	t.Helper()
-	dst := t.TempDir()
-	err := filepath.WalkDir(fixtureDir, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(fixtureDir, path)
-		if err != nil {
-			return err
-		}
-		target := filepath.Join(dst, rel)
-		if d.IsDir() {
-			return os.MkdirAll(target, 0o755)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(target, data, 0o644)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dst
-}
-
-func TestRunCacheWarmIsByteIdenticalAndInvalidates(t *testing.T) {
-	dir := copyFixture(t)
-	cache := filepath.Join(t.TempDir(), "lintcache")
-
-	code, cold, _ := runIn(t, dir, "-cache", cache, "./...")
-	if code != 1 {
-		t.Fatalf("cold exit = %d, want 1\n%s", code, cold)
-	}
-	if _, err := os.Stat(filepath.Join(cache, "manifest.json")); err != nil {
-		t.Fatalf("cold run wrote no manifest: %v", err)
-	}
-	if _, ok := lint.TryCache(dir, cache, lint.All()); !ok {
-		t.Fatal("cache misses immediately after a cold run")
-	}
-
-	code, warm, _ := runIn(t, dir, "-cache", cache, "./...")
-	if code != 1 {
-		t.Fatalf("warm exit = %d, want 1", code)
-	}
-	if warm != cold {
-		t.Errorf("warm output differs from cold:\ncold:\n%s\nwarm:\n%s", cold, warm)
-	}
-
-	// Mutating a source file must invalidate, and the refreshed run must
-	// report the new finding — no stale replay.
-	hot := filepath.Join(dir, "hot.go")
-	data, err := os.ReadFile(hot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Assignment form: allocations inside a return subtree are the
-	// analyzer's cold-exit exemption and would not be flagged.
-	extra := "\n//bsub:hotpath\nfunc hotFormat2(x int) { s := fmt.Sprintf(\"%d\", x); _ = s }\n"
-	if err := os.WriteFile(hot, append(data, extra...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := lint.TryCache(dir, cache, lint.All()); ok {
-		t.Fatal("cache still hits after mutating hot.go")
-	}
-	code, mutated, _ := runIn(t, dir, "-cache", cache, "./...")
-	if code != 1 {
-		t.Fatalf("post-mutation exit = %d, want 1", code)
-	}
-	if !strings.Contains(mutated, "hotFormat2") && strings.Count(mutated, "hotpathalloc") < 2 {
-		t.Errorf("post-mutation run missing the new finding:\n%s", mutated)
-	}
-	if mutated == cold {
-		t.Error("post-mutation output identical to pre-mutation output")
-	}
-	if _, ok := lint.TryCache(dir, cache, lint.All()); !ok {
-		t.Error("cache not refreshed by the post-mutation run")
-	}
-	code, rewarm, _ := runIn(t, dir, "-cache", cache, "./...")
-	if code != 1 || rewarm != mutated {
-		t.Errorf("re-warmed output differs from its cold run (exit %d)", code)
-	}
-
-	// A brand-new package — one nothing imports yet — must also force a
-	// miss: the warm path walks the module tree, not just the manifest.
-	newPkg := filepath.Join(dir, "internal", "fresh")
-	if err := os.MkdirAll(newPkg, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(newPkg, "fresh.go"), []byte("package fresh\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := lint.TryCache(dir, cache, lint.All()); ok {
-		t.Error("cache still hits after adding a new package directory")
-	}
-}
-
-func TestRunCacheSkippedForExplicitPackages(t *testing.T) {
-	dir := copyFixture(t)
-	cache := filepath.Join(t.TempDir(), "lintcache")
-	code, _, _ := runIn(t, dir, "-cache", cache, ".")
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1", code)
-	}
-	if _, err := os.Stat(filepath.Join(cache, "manifest.json")); err == nil {
-		t.Error("narrow package pattern wrote a whole-module cache")
-	}
-}
-
-func TestRunCacheAnalyzerSubsetKeyed(t *testing.T) {
-	dir := copyFixture(t)
-	cache := filepath.Join(t.TempDir(), "lintcache")
-	if code, _, _ := runIn(t, dir, "-cache", cache, "-analyzers", "lockio", "./..."); code != 0 {
-		t.Fatal("lockio-only run should be clean")
-	}
-	// A full-set run must not replay the lockio-only (empty) result.
-	code, stdout, _ := runIn(t, dir, "-cache", cache, "./...")
-	if code != 1 || !strings.Contains(stdout, "hotpathalloc") {
-		t.Errorf("full run replayed subset cache: exit %d\n%s", code, stdout)
 	}
 }

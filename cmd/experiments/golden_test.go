@@ -52,7 +52,7 @@ func TestGoldenCSVs(t *testing.T) {
 	for _, artifact := range []string{"fig7", "fig9"} {
 		artifact := artifact
 		t.Run(artifact, func(t *testing.T) {
-			if err := runArtifact(artifact, 1, true, dir, ""); err != nil {
+			if err := runArtifact(artifact, 1, true, dir); err != nil {
 				t.Fatalf("%s: %v", artifact, err)
 			}
 			for _, name := range files[artifact] {

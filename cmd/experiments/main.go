@@ -33,11 +33,10 @@ func main() {
 
 func run() error {
 	var (
-		only     = flag.String("run", "", "run a single artifact: table1 | table2 | fig7 | fig8 | fig9 | memory | analysis | allocation | ablation | scale")
-		seed     = flag.Int64("seed", 1, "random seed")
-		quick    = flag.Bool("quick", false, "use the small fixture and reduced sweeps")
-		csvDir   = flag.String("csv", "", "also write the figure series as CSV files into this directory")
-		benchOut = flag.String("bench-json", "", "write the filter-backend ablation (grid + population leg) as JSON to this file; ablation artifact only")
+		only   = flag.String("run", "", "run a single artifact: table1 | table2 | fig7 | fig8 | fig9 | memory | analysis | allocation | ablation | scale")
+		seed   = flag.Int64("seed", 1, "random seed")
+		quick  = flag.Bool("quick", false, "use the small fixture and reduced sweeps")
+		csvDir = flag.String("csv", "", "also write the figure series as CSV files into this directory")
 	)
 	flag.Parse()
 
@@ -63,7 +62,7 @@ func run() error {
 
 	for _, a := range artifacts {
 		started := time.Now()
-		if err := runArtifact(a, *seed, *quick, *csvDir, *benchOut); err != nil {
+		if err := runArtifact(a, *seed, *quick, *csvDir); err != nil {
 			return fmt.Errorf("%s: %w", a, err)
 		}
 		fmt.Printf("-- %s done in %v --\n\n", a, time.Since(started).Round(time.Millisecond))
@@ -90,7 +89,7 @@ func writeCSV(dir, file string, write func(io.Writer) error) error {
 	return f.Close()
 }
 
-func runArtifact(name string, seed int64, quick bool, csvDir, benchOut string) error {
+func runArtifact(name string, seed int64, quick bool, csvDir string) error {
 	switch name {
 	case "table1":
 		rows, err := experiments.Table1(seed)
@@ -235,7 +234,7 @@ func runArtifact(name string, seed int64, quick bool, csvDir, benchOut string) e
 			}
 			fmt.Println()
 		}
-		return backendAblation(seed, quick, csvDir, benchOut)
+		return backendAblation(seed, quick, csvDir)
 
 	case "scale":
 		sizes := experiments.DefaultScaleSizes
@@ -251,11 +250,6 @@ func runArtifact(name string, seed int64, quick bool, csvDir, benchOut string) e
 		}); err != nil {
 			return err
 		}
-		if err := writeCSV(csvDir, "scale.json", func(w io.Writer) error {
-			return experiments.WriteScaleJSON(w, points)
-		}); err != nil {
-			return err
-		}
 		return experiments.WriteScale(os.Stdout,
 			"Scale sweep: B-SUB over streamed traces (ROADMAP item 1)", points)
 	}
@@ -264,9 +258,8 @@ func runArtifact(name string, seed int64, quick bool, csvDir, benchOut string) e
 
 // backendAblation runs the filter-backend matrix (ISSUE 9): every
 // backend over the fig7 and fig9 traces at a fixed TTL, then over the
-// streamed 10k-node population, emitting the grid as CSV and — when
-// -bench-json is set — the BENCH_PR9.json document.
-func backendAblation(seed int64, quick bool, csvDir, benchOut string) error {
+// streamed 10k-node population, emitting the grid as CSV.
+func backendAblation(seed int64, quick bool, csvDir string) error {
 	ttl := 8 * time.Hour
 	if quick {
 		ttl = 4 * time.Hour
@@ -307,20 +300,7 @@ func backendAblation(seed int64, quick bool, csvDir, benchOut string) error {
 		return err
 	}
 	fmt.Println()
-
-	if benchOut == "" {
-		return nil
-	}
-	f, err := os.Create(benchOut)
-	if err != nil {
-		return err
-	}
-	doc := experiments.BackendBench{TraceRows: rows, Scale: points}
-	if err := experiments.WriteBackendBenchJSON(f, doc); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
+	return nil
 }
 
 func fixture(which string, seed int64, quick bool) (*experiments.Fixture, error) {

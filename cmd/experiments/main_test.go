@@ -26,7 +26,7 @@ func TestRunArtifactQuick(t *testing.T) {
 	} {
 		artifact := artifact
 		t.Run(artifact, func(t *testing.T) {
-			if err := runArtifact(artifact, 1, true, t.TempDir(), ""); err != nil {
+			if err := runArtifact(artifact, 1, true, t.TempDir()); err != nil {
 				t.Fatalf("%s: %v", artifact, err)
 			}
 		})
@@ -34,7 +34,7 @@ func TestRunArtifactQuick(t *testing.T) {
 }
 
 func TestRunArtifactUnknown(t *testing.T) {
-	if err := runArtifact("bogus", 1, true, "", ""); err == nil {
+	if err := runArtifact("bogus", 1, true, ""); err == nil {
 		t.Error("unknown artifact accepted")
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -62,17 +61,17 @@ func AblateFilterBackends(f *Fixture, ttl time.Duration) ([]AblationResult, erro
 }
 
 // BackendTraceRow is one (trace, backend) cell of the ablation grid —
-// the flattened form the CSV and BENCH_PR9.json carry.
+// the flattened form the CSV carries.
 type BackendTraceRow struct {
-	Trace           string  `json:"trace"`
-	Backend         string  `json:"backend"`
-	TTLMinutes      float64 `json:"ttl_minutes"`
-	Delivery        float64 `json:"delivery"`
-	DelayMinutes    float64 `json:"delay_minutes"`
-	FwdPerDelivered float64 `json:"fwd_per_delivered"`
-	FPR             float64 `json:"fpr"`
-	InjectionFPR    float64 `json:"injection_fpr"`
-	ControlBytes    int64   `json:"control_bytes"`
+	Trace           string
+	Backend         string
+	TTLMinutes      float64
+	Delivery        float64
+	DelayMinutes    float64
+	FwdPerDelivered float64
+	FPR             float64
+	InjectionFPR    float64
+	ControlBytes    int64
 }
 
 // BackendTraceRows flattens one fixture's ablation results into grid
@@ -123,7 +122,7 @@ func WriteBackendAblationCSV(w io.Writer, rows []BackendTraceRow) error {
 
 // BackendScalePoint is one backend's streamed-population outcome.
 type BackendScalePoint struct {
-	Backend string `json:"backend"`
+	Backend string
 	ScalePoint
 }
 
@@ -160,18 +159,4 @@ func WriteBackendScale(w io.Writer, title string, points []BackendScalePoint) er
 		}
 	}
 	return nil
-}
-
-// BackendBench is the BENCH_PR9.json document: the (trace, backend)
-// ablation grid plus the streamed-population leg.
-type BackendBench struct {
-	TraceRows []BackendTraceRow   `json:"trace_rows"`
-	Scale     []BackendScalePoint `json:"scale"`
-}
-
-// WriteBackendBenchJSON writes the document indented, ready to check in.
-func WriteBackendBenchJSON(w io.Writer, b BackendBench) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(b)
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -120,18 +119,5 @@ func TestBackendScaleSweepQuick(t *testing.T) {
 		if p.ControlBytes <= 0 {
 			t.Errorf("backend %s recorded no control traffic", p.Backend)
 		}
-	}
-
-	doc := BackendBench{Scale: points}
-	var buf bytes.Buffer
-	if err := WriteBackendBenchJSON(&buf, doc); err != nil {
-		t.Fatal(err)
-	}
-	var back BackendBench
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Scale) != len(points) || back.Scale[0].Backend != "tcbf" {
-		t.Errorf("JSON round-trip mangled the scale leg: %+v", back.Scale)
 	}
 }

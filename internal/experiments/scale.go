@@ -3,7 +3,6 @@ package experiments
 import (
 	"bufio"
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -44,27 +43,27 @@ const scaleMsgPerTenNodes = 1.0
 
 // ScalePoint is one population size's outcome.
 type ScalePoint struct {
-	Nodes    int     `json:"nodes"`
-	Workers  int     `json:"workers"`
-	Links    int     `json:"links"`
-	Contacts int     `json:"contacts"`
-	Messages int     `json:"messages"`
-	Delivery float64 `json:"delivery"`
-	FwdPerD  float64 `json:"fwd_per_delivered"`
-	FPR      float64 `json:"fpr"`
+	Nodes    int
+	Workers  int
+	Links    int
+	Contacts int
+	Messages int
+	Delivery float64
+	FwdPerD  float64
+	FPR      float64
 	// ControlBytes is the total filter bytes exchanged during contacts —
 	// the wire cost of interest dissemination at this scale.
-	ControlBytes int64   `json:"control_bytes"`
-	WallSec      float64 `json:"wall_seconds"`
+	ControlBytes int64
+	WallSec      float64
 	// ContactsPerSec is contacts executed per wall-clock second — the
 	// instrument's throughput, protocol work included.
-	ContactsPerSec float64 `json:"contacts_per_sec"`
+	ContactsPerSec float64
 	// PeakRSS is the process's high-water resident set (Linux VmHWM) after
 	// the run. It is cumulative across a process, so sweeps run sizes in
 	// ascending order: each point's peak is dominated by its own run.
-	PeakRSS int64 `json:"peak_rss_bytes"`
+	PeakRSS int64
 	// RSSPerNode is PeakRSS divided by the population size.
-	RSSPerNode float64 `json:"rss_bytes_per_node"`
+	RSSPerNode float64
 }
 
 // ScaleStreams builds the streamed fixture for a Scale(nodes) population:
@@ -235,12 +234,4 @@ func WriteScaleCSV(w io.Writer, points []ScalePoint) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// WriteScaleJSON writes the sweep as the BENCH_PR8.json scale section: an
-// indented JSON array of ScalePoints.
-func WriteScaleJSON(w io.Writer, points []ScalePoint) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(points)
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"bytes"
 	"encoding/csv"
-	"encoding/json"
 	"strconv"
 	"strings"
 	"testing"
@@ -44,18 +43,6 @@ func TestScaleSweepQuick(t *testing.T) {
 		t.Errorf("CSV has %d rows, want 3", len(rows))
 	}
 
-	var jsonBuf bytes.Buffer
-	if err := WriteScaleJSON(&jsonBuf, points); err != nil {
-		t.Fatal(err)
-	}
-	var decoded []ScalePoint
-	if err := json.Unmarshal(jsonBuf.Bytes(), &decoded); err != nil {
-		t.Fatal(err)
-	}
-	if len(decoded) != 2 || decoded[0].Nodes != 500 {
-		t.Errorf("JSON round-trip mangled points: %+v", decoded)
-	}
-
 	var txt bytes.Buffer
 	if err := WriteScale(&txt, "scale", points); err != nil {
 		t.Fatal(err)
@@ -85,7 +72,7 @@ func TestScaleRunDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // BenchmarkScaleSim measures end-to-end simulator throughput (protocol
-// work included) at the two bench-json population sizes. The interesting
+// work included) at 10k and 100k nodes. The interesting
 // number is the contacts/s metric, not ns/op; run with -benchtime 1x.
 func BenchmarkScaleSim(b *testing.B) {
 	for _, n := range []int{10_000, 100_000} {

@@ -54,7 +54,6 @@ func LoadFixture(srcRoot, modulePath string) (*Program, error) {
 		sort.Strings(files)
 		pkg := &Package{
 			Path:     ip,
-			Dir:      filepath.Dir(files[0]),
 			Standard: !isModulePath(ip, modulePath),
 			InModule: isModulePath(ip, modulePath),
 		}

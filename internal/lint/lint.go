@@ -11,10 +11,7 @@
 // `go list -json -deps`, parsed with go/parser, and type-checked with
 // go/types in dependency order — in parallel waves, one wave per
 // dependency depth. No golang.org/x/tools machinery is used, so the
-// linter builds anywhere the repo builds. Findings can be cached per
-// package keyed by a content hash of the package's files and transitive
-// dependencies (see TryCache and WriteCache), which is what
-// `make lint-fast` uses.
+// linter builds anywhere the repo builds.
 package lint
 
 import (
@@ -24,6 +21,7 @@ import (
 	"go/types"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -76,12 +74,10 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // Package is one loaded, type-checked package.
 type Package struct {
 	Path      string // import path
-	Dir       string
-	Standard  bool // GOROOT package (type-checked signatures only)
-	InModule  bool // belongs to the module under analysis
+	Standard  bool   // GOROOT package (type-checked signatures only)
+	InModule  bool   // belongs to the module under analysis
 	Files     []*ast.File
 	Filenames []string
-	Imports   []string // import paths, as listed (cache keying)
 	Types     *types.Package
 	Info      *types.Info
 }
@@ -243,84 +239,68 @@ type suppression struct {
 	analyzer string
 }
 
-func collectSuppressions(fset *token.FileSet, pkgs []*Package) []suppression {
+func collectSuppressions(fset *token.FileSet, pkg *Package) []suppression {
 	var out []suppression
-	for _, pkg := range pkgs {
-		for _, file := range pkg.Files {
-			for _, group := range file.Comments {
-				for _, c := range group.List {
-					text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-					if !strings.HasPrefix(text, "lint:ignore ") {
-						continue
-					}
-					fields := strings.Fields(text)
-					// lint:ignore bsub/<name> <reason...> — a missing
-					// reason keeps the directive inert, matching the
-					// documented format strictly.
-					if len(fields) < 3 || !strings.HasPrefix(fields[1], "bsub/") {
-						continue
-					}
-					pos := fset.Position(c.Pos())
-					out = append(out, suppression{
-						file:     pos.Filename,
-						line:     pos.Line,
-						analyzer: strings.TrimPrefix(fields[1], "bsub/"),
-					})
+	for _, file := range pkg.Files {
+		for _, group := range file.Comments {
+			for _, c := range group.List {
+				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+				if !strings.HasPrefix(text, "lint:ignore ") {
+					continue
 				}
+				fields := strings.Fields(text)
+				// lint:ignore bsub/<name> <reason...> — a missing
+				// reason keeps the directive inert, matching the
+				// documented format strictly.
+				if len(fields) < 3 || !strings.HasPrefix(fields[1], "bsub/") {
+					continue
+				}
+				pos := fset.Position(c.Pos())
+				out = append(out, suppression{
+					file:     pos.Filename,
+					line:     pos.Line,
+					analyzer: strings.TrimPrefix(fields[1], "bsub/"),
+				})
 			}
 		}
 	}
 	return out
 }
 
-// PackageResult is one package's findings after suppression filtering,
-// sorted by position. It is the unit the findings cache stores.
-type PackageResult struct {
-	Pkg        *Package
-	Findings   []Diagnostic
-	Suppressed int
-}
-
 // Run executes the analyzers over every module package each applies to
 // and returns the surviving findings sorted by position, plus the count
 // of findings silenced by //lint:ignore directives. Analysis fans out
-// over a worker pool: packages are independent once the wave-ordered
-// type-check in the loader has finished.
+// over a worker pool, one worker per package up to GOMAXPROCS: packages
+// are independent once the wave-ordered type-check in the loader has
+// finished.
 func (prog *Program) Run(analyzers ...*Analyzer) (findings []Diagnostic, suppressed int) {
-	results := prog.RunPackages(prog.Module, analyzers...)
-	for _, r := range results {
-		findings = append(findings, r.Findings...)
-		suppressed += r.Suppressed
-	}
-	sortDiagnostics(findings)
-	return findings, suppressed
-}
-
-// RunPackages analyzes the given module packages concurrently, one
-// worker per package up to GOMAXPROCS.
-func (prog *Program) RunPackages(pkgs []*Package, analyzers ...*Analyzer) []*PackageResult {
-	results := make([]*PackageResult, len(pkgs))
+	perPkg := make([][]Diagnostic, len(prog.Module))
+	perPkgSuppressed := make([]int, len(prog.Module))
 	sem := make(chan struct{}, max(1, runtime.GOMAXPROCS(0)))
 	var wg sync.WaitGroup
-	for i, pkg := range pkgs {
+	for i, pkg := range prog.Module {
 		wg.Add(1)
 		sem <- struct{}{}
 		go func(i int, pkg *Package) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			results[i] = prog.runPackage(pkg, analyzers)
+			perPkg[i], perPkgSuppressed[i] = prog.runPackage(pkg, analyzers)
 		}(i, pkg)
 	}
 	wg.Wait()
-	return results
+	for i := range perPkg {
+		findings = append(findings, perPkg[i]...)
+		suppressed += perPkgSuppressed[i]
+	}
+	sortDiagnostics(findings)
+	return findings, suppressed
 }
 
 // runPackage runs every applicable analyzer over one package and
 // filters the findings through that package's //lint:ignore directives.
 // Suppression matching is per-file, so filtering per package is exactly
-// equivalent to the whole-module pass — which is what makes per-package
-// finding caching sound.
-func (prog *Program) runPackage(pkg *Package, analyzers []*Analyzer) *PackageResult {
+// equivalent to a whole-module pass.
+func (prog *Program) runPackage(pkg *Package, analyzers []*Analyzer) (findings []Diagnostic, suppressed int) {
 	var all []Diagnostic
 	rel := pkg.Rel(prog.ModulePath)
 	for _, a := range analyzers {
@@ -329,8 +309,7 @@ func (prog *Program) runPackage(pkg *Package, analyzers []*Analyzer) *PackageRes
 		}
 		a.Run(&Pass{Prog: prog, Pkg: pkg, analyzer: a, diags: &all})
 	}
-	res := &PackageResult{Pkg: pkg}
-	sups := collectSuppressions(prog.Fset, []*Package{pkg})
+	sups := collectSuppressions(prog.Fset, pkg)
 	covered := func(d Diagnostic) bool {
 		for _, s := range sups {
 			if s.analyzer == d.Analyzer && s.file == d.Pos.Filename &&
@@ -342,20 +321,13 @@ func (prog *Program) runPackage(pkg *Package, analyzers []*Analyzer) *PackageRes
 	}
 	for _, d := range all {
 		if covered(d) {
-			res.Suppressed++
+			suppressed++
 			continue
 		}
-		res.Findings = append(res.Findings, d)
+		findings = append(findings, d)
 	}
-	sortDiagnostics(res.Findings)
-	return res
+	return findings, suppressed
 }
-
-// SortDiagnostics orders findings by file, line, column, analyzer — the
-// driver's stable output order. Callers that assemble findings from
-// RunPackages or relativize paths re-sort before printing so text and
-// cached output stay byte-identical.
-func SortDiagnostics(ds []Diagnostic) { sortDiagnostics(ds) }
 
 // sortDiagnostics orders findings by file, line, column, analyzer — the
 // driver's stable output order.
@@ -390,23 +362,21 @@ func All() []*Analyzer {
 }
 
 // ByName resolves a comma-separated analyzer list ("claimsettle,lockio").
+// A repeated name selects its analyzer once.
 func ByName(names string) ([]*Analyzer, error) {
+	all := All()
 	var out []*Analyzer
 	for _, name := range strings.Split(names, ",") {
 		name = strings.TrimSpace(name)
 		if name == "" {
 			continue
 		}
-		found := false
-		for _, a := range All() {
-			if a.Name == name {
-				out = append(out, a)
-				found = true
-				break
-			}
-		}
-		if !found {
+		i := slices.IndexFunc(all, func(a *Analyzer) bool { return a.Name == name })
+		if i < 0 {
 			return nil, fmt.Errorf("unknown analyzer %q", name)
+		}
+		if !slices.Contains(out, all[i]) {
+			out = append(out, all[i])
 		}
 	}
 	if len(out) == 0 {

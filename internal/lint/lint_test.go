@@ -244,6 +244,12 @@ func TestByName(t *testing.T) {
 	if err != nil || len(got) != 2 || got[0].Name != "claimsettle" || got[1].Name != "lockio" {
 		t.Errorf("ByName = %v, %v", got, err)
 	}
+	// A repeated name selects its analyzer once, so its findings are
+	// not reported twice.
+	got, err = ByName("hotpathalloc,lockio,hotpathalloc")
+	if err != nil || len(got) != 2 || got[0].Name != "hotpathalloc" || got[1].Name != "lockio" {
+		t.Errorf("ByName(repeated) = %v, %v", got, err)
+	}
 	if _, err := ByName("nosuch"); err == nil {
 		t.Error("ByName(nosuch) should fail")
 	}
