@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"bsub/internal/bloofi"
 	"bsub/internal/filter"
 )
 
@@ -20,9 +19,6 @@ func TestConfigValidatePropagatesBackend(t *testing.T) {
 		wantErr string
 	}{
 		{"retouched-fill", filter.Retouched{MaxFill: 2}, "fill bound"},
-		{"autoscale-trigger", filter.Autoscale{GrowAt: 1.5}, "growth trigger"},
-		{"autoscale-layers", filter.Autoscale{MaxLayers: 99}, "layer cap"},
-		{"bloofi-branching", bloofi.Backend{Branching: 1}, "branching"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -47,7 +43,7 @@ func TestConfigValidatePropagatesBackend(t *testing.T) {
 func TestConfigValidateAcceptsBackends(t *testing.T) {
 	for _, b := range []filter.Backend{
 		nil, // the default packed TCBF
-		filter.Packed{}, filter.Retouched{}, filter.Autoscale{}, bloofi.Backend{},
+		filter.Packed{}, filter.Retouched{},
 	} {
 		cfg := DefaultConfig(0.1)
 		cfg.Backend = b

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"bsub/internal/bloofi"
 	"bsub/internal/filter"
 	"bsub/internal/workload"
 )
@@ -21,31 +20,18 @@ type contactCase struct {
 	// window — so the contact runs the user's census, genuine propagation
 	// and its interest pull, not the broker-broker relay exchange.
 	dense bool
-	// allocs is the warm-cycle allocation ceiling TestContactAllocationFree
-	// enforces.
-	allocs float64
 }
 
 // contactCases lists the variants. mmerge and amerge are the baseline
 // rows of DESIGN.md §8: broker-broker contacts in both merge modes on the
-// default packed TCBF. Each alternative backend runs the same contact;
+// default packed TCBF. The retouched backend runs the same contact;
 // dense is the mixed-role Haggle shape.
 var contactCases = []contactCase{
 	{name: "mmerge", mode: BrokerMergeMax},
 	{name: "amerge", mode: BrokerMergeAdditive},
 	{name: "retouched", mode: BrokerMergeMax, backend: filter.Retouched{}},
-	{name: "autoscale", mode: BrokerMergeMax, backend: filter.Autoscale{}},
-	{name: "bloofi", mode: BrokerMergeMax, backend: bloofi.Backend{}, allocs: allocBudgetBloofi},
 	{name: "dense", mode: BrokerMergeMax, dense: true},
 }
-
-// Per-backend allocation ceilings for a warm contact cycle. The
-// autoscaling stack allocates only when it grows a layer, which a warm
-// stationary contact never does, so its steady state is zero like the
-// packed backends. The Bloofi tree rebuilds aggregate levels on every
-// insert and absorbs peers as cloned leaves (46 allocs measured); its
-// ceiling sits at ~2x so noise passes and a hot-path regression fails.
-const allocBudgetBloofi = 100
 
 // newContactRig builds the two nodes of a variant and returns one full
 // contact cycle between them, plus reseed, which restores the relay

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"bsub/internal/bloofi"
 	"bsub/internal/filter"
 	"bsub/internal/tcbf"
 	"bsub/internal/workload"
@@ -67,8 +66,6 @@ func TestEncodingMemoConformance(t *testing.T) {
 	}{
 		{"packed", nil},
 		{"retouched", filter.Retouched{}},
-		{"autoscale", filter.Autoscale{}},
-		{"bloofi", bloofi.Backend{}},
 	} {
 		t.Run(b.name, func(t *testing.T) {
 			cfg := DefaultConfig(0.1)

@@ -7,38 +7,26 @@ import (
 	"strconv"
 	"time"
 
-	"bsub/internal/bloofi"
 	"bsub/internal/core"
 	"bsub/internal/filter"
 )
 
 // The filter-backend ablation (ROADMAP item 4 / ISSUE 9) swaps the relay
 // filter behind the internal/filter seam and replays identical traces:
-// the paper's packed TCBF, the retouched decorator trading selected
-// false negatives for forwarding cost, the autoscaling stack growing
-// geometry with load, and the Bloofi tree the mesh broker tier uses to
-// aggregate downstream interests. Every variant sees the same contacts,
-// workload, and TTL, so delivery, forwarding cost, FPR, and bytes on
-// the wire isolate the filter design itself.
+// the paper's packed TCBF and the retouched decorator trading selected
+// false negatives for forwarding cost. Every variant sees the same
+// contacts, workload, and TTL, so delivery, forwarding cost, FPR, and
+// bytes on the wire isolate the filter design itself.
 
 // FilterBackends is the ablation's backend matrix. The paper's
 // evaluation geometry (m=256, k=4) runs its relay filters well under
-// half full, so the retouched and autoscale default triggers (0.5)
-// would never engage; both bounds are lowered to 0.1 — about 25 set
-// positions, six keys' worth — where the mechanisms can actually
-// operate. Retouching then visibly trades delivery for forwarding
-// cost. The autoscale rows still replicate tcbf exactly, and that
-// equality is the finding, not a wiring bug: per-node genuine interest
-// sets are one or two topics (under the trigger even at 0.02), and
-// broker filters are merged aggregates that refuse genuine inserts, so
-// the stack never needs to grow — the base geometry is over-provisioned
-// for the paper's workload and adaptivity costs nothing when unneeded.
+// half full, so the retouched default bound (0.5) would never engage;
+// it is lowered to 0.1 — about 25 set positions, six keys' worth —
+// where retouching visibly trades delivery for forwarding cost.
 func FilterBackends() []filter.Backend {
 	return []filter.Backend{
 		filter.Packed{},
 		filter.Retouched{MaxFill: 0.1},
-		filter.Autoscale{GrowAt: 0.1, MaxLayers: 4},
-		bloofi.Backend{},
 	}
 }
 

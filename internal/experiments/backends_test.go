@@ -10,8 +10,8 @@ import (
 
 func TestFilterBackendsMatrix(t *testing.T) {
 	backends := FilterBackends()
-	if len(backends) != 4 {
-		t.Fatalf("backend matrix has %d entries, want 4", len(backends))
+	if len(backends) != 2 {
+		t.Fatalf("backend matrix has %d entries, want 2", len(backends))
 	}
 	if backends[0].Name() != "tcbf" {
 		t.Errorf("matrix leads with %q, want the default tcbf backend", backends[0].Name())

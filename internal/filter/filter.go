@@ -3,13 +3,11 @@
 // function of the filter it forwards with: the paper's TCBF buys compact
 // interest encoding with false-positive forwardings, and the related
 // work shows that trade is tunable — Retouched Bloom Filters accept
-// selected false negatives to cut wasted cost, scalable filters grow
-// geometry with observed load, and Bloofi-style trees aggregate many
-// downstream filters behind one logarithmic check. The Filter interface
+// selected false negatives to cut wasted cost. The Filter interface
 // captures exactly the operations internal/engine performs on its relay
 // filters (insert/contains/batch/decay/merge/encode/preference), so
-// those designs can be swapped behind the seam and ablated on identical
-// traces.
+// the two backends, Packed and Retouched, can be swapped behind the seam
+// and ablated on identical traces.
 //
 // The packed TCBF remains the default backend and the seam is free on
 // the hot path: Packed's Filter is a thin pointer wrapper around
@@ -35,8 +33,7 @@ import (
 // access per node.
 type Filter interface {
 	// Config returns the decay/geometry configuration the filter was
-	// built from. For adaptive backends this is the base configuration;
-	// current geometry may differ.
+	// built from.
 	Config() tcbf.Config
 	// Partitions returns the Section VI-D partition count (1 when the
 	// backend does not partition).
@@ -97,7 +94,11 @@ type Filter interface {
 // deliberately relaxes. The conformance suite reads these to decide what
 // to assert: every backend is run against the same differential model,
 // but e.g. a retouched filter is *allowed* bounded false negatives while
-// tcbf is not.
+// tcbf is not. Every backend must also keep the properties no backend
+// relaxes: merges commute, A-merge accumulates per-position counters by
+// saturating addition exactly as one flat TCBF would, and
+// Encode→DecodeInto reproduces counter state exactly (up to the counter
+// mode's declared precision).
 type Laws struct {
 	// NoFalseNegatives: a key inserted and not yet decayed away is
 	// always reported present.
@@ -106,32 +107,18 @@ type Laws struct {
 	// keys whose reference counter is at or below the backend's reported
 	// cutoff (Retouched-BF selected clearing).
 	BoundedFalseNegatives bool
-	// MergeCommutative: A.Merge(B) and B.Merge(A) yield equal counter
-	// state (given equal clocks).
-	MergeCommutative bool
-	// AdditiveAMerge: AMerge accumulates per-position counters by
-	// saturating addition, exactly as one flat TCBF would, so repeated
-	// reinforcement sums. Backends that reshard on merge — a Bloofi
-	// absorb adds a leaf, autoscale merges layer-wise — keep membership
-	// but only max-like counter strength, and decay therefore erodes
-	// their merged keys on the single-insert timescale, not the summed
-	// one.
-	AdditiveAMerge bool
 	// ExactCounters: MinCounterPre matches the collision-aware reference
 	// model exactly (filter counter ≥ reference counter, equal absent
 	// collisions).
 	ExactCounters bool
-	// RoundTripExact: Encode→DecodeInto reproduces counter state exactly
-	// (up to the counter mode's declared precision).
-	RoundTripExact bool
 }
 
 // Backend constructs Filters of one implementation. Backends are small
 // comparable value types so engine configs can be compared for arena
 // compatibility.
 type Backend interface {
-	// Name is the backend's ablation-row identifier (e.g. "tcbf",
-	// "retouched", "autoscale", "bloofi").
+	// Name is the backend's ablation-row identifier ("tcbf" or
+	// "retouched").
 	Name() string
 	// Validate rejects an inconsistent configuration before any filter
 	// is built — the interface-boundary geometry check; engines must

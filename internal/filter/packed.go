@@ -20,13 +20,7 @@ func (Packed) Name() string { return "tcbf" }
 // Laws implements Backend: packed TCBF is the reference — it keeps every
 // contract property.
 func (Packed) Laws() Laws {
-	return Laws{
-		NoFalseNegatives: true,
-		MergeCommutative: true,
-		AdditiveAMerge:   true,
-		ExactCounters:    true,
-		RoundTripExact:   true,
-	}
+	return Laws{NoFalseNegatives: true, ExactCounters: true}
 }
 
 // Validate implements Backend.

@@ -45,12 +45,7 @@ func (Retouched) Name() string { return "retouched" }
 // is a deterministic function of the merged counter state, so merges
 // still commute.
 func (Retouched) Laws() Laws {
-	return Laws{
-		BoundedFalseNegatives: true,
-		MergeCommutative:      true,
-		AdditiveAMerge:        true,
-		RoundTripExact:        true,
-	}
+	return Laws{BoundedFalseNegatives: true}
 }
 
 func (r Retouched) maxFill() float64 {
@@ -87,10 +82,11 @@ type retouchedFilter struct {
 	*tcbf.Partitioned
 	maxFill float64
 	// cutoff accumulates the largest counter value cleared by each
-	// retouching pass since the last Reset — the false-negative bound: a
-	// key reported absent despite being live lost at most this much true
-	// counter mass to clearing in total, however merges re-added and
-	// re-cleared it along the way.
+	// retouching pass since the last Reset, plus the bounds inherited from
+	// merged peers — the false-negative bound: a key reported absent
+	// despite being live lost at most this much true counter mass to
+	// clearing in total, here or in a peer before it was merged in,
+	// however merges re-added and re-cleared it along the way.
 	cutoff float64
 }
 
@@ -147,6 +143,9 @@ func (f *retouchedFilter) AMerge(other Filter, now time.Duration) error {
 	if err := f.Partitioned.AMerge(o.Partitioned, now); err != nil {
 		return err
 	}
+	// Each A-merge adds the peer's counters, and with them whatever mass
+	// the peer's own retouching removed.
+	f.cutoff += o.cutoff
 	return f.retouch(now)
 }
 
@@ -159,6 +158,8 @@ func (f *retouchedFilter) MMerge(other Filter, now time.Duration) error {
 	if err := f.Partitioned.MMerge(o.Partitioned, now); err != nil {
 		return err
 	}
+	// A maximum is short of the true maximum by at most the larger loss.
+	f.cutoff = max(f.cutoff, o.cutoff)
 	return f.retouch(now)
 }
 

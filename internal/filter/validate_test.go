@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"bsub/internal/bloofi"
 	"bsub/internal/filter"
 	"bsub/internal/tcbf"
 )
@@ -38,21 +37,6 @@ func TestBackendValidateBrokenConfigs(t *testing.T) {
 		{"retouched-fill-above-one", filter.Retouched{MaxFill: 1.5}, validCfg, 1, "fill bound"},
 		{"retouched-bad-partitions", filter.Retouched{}, validCfg, 300, "partition count"},
 		{"retouched-bad-geometry", filter.Retouched{}, tcbf.Config{M: -8, K: 4, Initial: 10}, 1, "bit-vector length"},
-
-		// Autoscale: growth trigger in (0,1), layer cap in [1,16], and the
-		// top layer's doubled geometry must still be constructible.
-		{"autoscale-trigger-negative", filter.Autoscale{GrowAt: -0.1}, validCfg, 1, "growth trigger"},
-		{"autoscale-trigger-one", filter.Autoscale{GrowAt: 1}, validCfg, 1, "growth trigger"},
-		{"autoscale-layer-cap-negative", filter.Autoscale{MaxLayers: -2}, validCfg, 1, "layer cap"},
-		{"autoscale-layer-cap-huge", filter.Autoscale{MaxLayers: 17}, validCfg, 1, "layer cap"},
-		{"autoscale-bad-geometry", filter.Autoscale{}, tcbf.Config{M: 256, K: 100, Initial: 10}, 1, "hash count"},
-
-		// Bloofi: fan-out in [2,16] and the leaf cap must hold one full
-		// inner node.
-		{"bloofi-branching-one", bloofi.Backend{Branching: 1}, validCfg, 1, "branching"},
-		{"bloofi-branching-huge", bloofi.Backend{Branching: 17}, validCfg, 1, "branching"},
-		{"bloofi-leaves-below-branching", bloofi.Backend{Branching: 4, MaxLeaves: 2}, validCfg, 1, "leaf cap"},
-		{"bloofi-bad-geometry", bloofi.Backend{}, tcbf.Config{M: 256, K: 4, Initial: -3}, 1, "initial counter"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -77,7 +61,7 @@ func TestBackendValidateBrokenConfigs(t *testing.T) {
 // New yields an empty filter.
 func TestBackendValidateAcceptsDefaults(t *testing.T) {
 	backends := []filter.Backend{
-		filter.Packed{}, filter.Retouched{}, filter.Autoscale{}, bloofi.Backend{},
+		filter.Packed{}, filter.Retouched{},
 	}
 	for _, b := range backends {
 		t.Run(b.Name(), func(t *testing.T) {
@@ -92,19 +76,5 @@ func TestBackendValidateAcceptsDefaults(t *testing.T) {
 				t.Errorf("%s.New returned a non-empty filter (%d set bits)", b.Name(), f.SetBits())
 			}
 		})
-	}
-}
-
-// TestBackendValidateTopLayerGeometry pins the autoscale-specific check:
-// a base geometry whose doubled top layer overflows the hasher's 32-bit
-// position space must be rejected even though the base layer alone is
-// fine.
-func TestBackendValidateTopLayerGeometry(t *testing.T) {
-	base := tcbf.Config{M: 1 << 28, K: 4, Initial: 10}
-	if err := (filter.Packed{}).Validate(base, 1); err != nil {
-		t.Fatalf("base geometry must be valid on its own: %v", err)
-	}
-	if err := (filter.Autoscale{MaxLayers: 16}).Validate(base, 1); err == nil {
-		t.Error("autoscale accepted a base geometry whose top layer cannot be built")
 	}
 }

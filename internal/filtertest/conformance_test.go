@@ -4,21 +4,17 @@ import (
 	"math/rand"
 	"testing"
 
-	"bsub/internal/bloofi"
 	"bsub/internal/filter"
 )
 
 // Subjects is the backend matrix under conformance: the packed TCBF
-// default (single and multi-partition), the retouched decorator, the
-// autoscaling stack, and the Bloofi tree. Small autoscale/bloofi knobs
-// force growth and folding inside short tapes.
+// default (single and multi-partition) and the retouched decorator, whose
+// low fill bound forces clearing inside short tapes.
 func subjects() []Subject {
 	return []Subject{
 		{Name: "tcbf", Backend: filter.Packed{}, Partitions: 1},
 		{Name: "tcbf-part3", Backend: filter.Packed{}, Partitions: 3},
 		{Name: "retouched", Backend: filter.Retouched{MaxFill: 0.12}, Partitions: 1},
-		{Name: "autoscale", Backend: filter.Autoscale{GrowAt: 0.05, MaxLayers: 4}, Partitions: 1},
-		{Name: "bloofi", Backend: bloofi.Backend{Branching: 2, MaxLeaves: 8}, Partitions: 1},
 	}
 }
 
@@ -40,16 +36,18 @@ func TestFilterConformance(t *testing.T) {
 }
 
 // FuzzFilterModel hands the conformance interpreter to the fuzzer: the
-// first tape byte picks the backend, the rest is the op tape, and any
-// input on which a backend violates its declared laws is a real bug.
+// first tape byte picks the backend (modulo the subject count: 0 and 3
+// select tcbf, 1 and 4 tcbf-part3, 2 retouched), the rest is the op
+// tape, and any input on which a backend violates its declared laws is
+// a real bug.
 func FuzzFilterModel(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 1, 2, 3, 0, 5, 1, 7, 2})               // insert, merge, query, wire
 	f.Add([]byte{2, 0, 0, 2, 90, 6, 0, 4, 0, 6, 0})              // retouched: decay then M-merge
-	f.Add([]byte{3, 0, 3, 8, 16, 2, 200, 5, 3, 7, 0, 9, 0})      // autoscale: DF retune, burst
-	f.Add([]byte{4, 1, 5, 3, 0, 0, 5, 8, 4, 1, 7, 4, 0, 2, 30})  // bloofi: merged-insert path
+	f.Add([]byte{3, 0, 3, 8, 16, 2, 200, 5, 3, 7, 0, 9, 0})      // tcbf: DF retune, burst
+	f.Add([]byte{4, 1, 5, 3, 0, 0, 5, 8, 4, 1, 7, 4, 0, 2, 30})  // tcbf-part3: merged-insert path
 	f.Add([]byte{1, 0, 1, 1, 1, 9, 0, 6, 1, 9, 0, 6, 1, 2, 255}) // partitions: saturation, decay
-	f.Add([]byte{3, 0, 0, 10, 1, 5, 0, 10, 255, 6, 0, 11, 3})    // sub-tick carry + monotonicity
-	f.Add([]byte{4, 9, 0, 9, 1, 9, 2, 9, 3, 7, 0, 5, 0})         // bloofi: fold under burst, wire
+	f.Add([]byte{3, 0, 0, 10, 1, 5, 0, 10, 255, 6, 0, 11, 3})    // tcbf: sub-tick carry + monotonicity
+	f.Add([]byte{4, 9, 0, 9, 1, 9, 2, 9, 3, 7, 0, 5, 0})         // tcbf-part3: burst, wire
 	f.Fuzz(func(t *testing.T, tape []byte) {
 		if len(tape) < 1 {
 			t.Skip("empty tape")

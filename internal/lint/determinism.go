@@ -8,20 +8,19 @@ import (
 )
 
 // Determinism keeps the replayable core replayable: internal/engine,
-// internal/tcbf, internal/filter, internal/bloofi, internal/core,
-// internal/trace* (the tracegen pair streams included),
-// internal/workload, internal/sim, internal/metrics,
-// and internal/xrand must not read wall clocks (time.Now and friends —
-// time is threaded explicitly as a parameter everywhere), must not draw
-// from the global math/rand state (seeded *rand.Rand generators are
-// fine), and must not iterate a map where the body's effects are
-// order-sensitive: appending to an outer slice that is not subsequently
-// sorted, accumulating floating-point sums, or feeding keys into a
-// filter/wire buffer whose state depends on insertion order. The sharded
-// runner's byte-identical-at-any-worker-count guarantee (DESIGN.md §11)
-// rests on exactly these properties: a map-ordered merge or an ambient
-// RNG in a stream would shift results between runs, not just between
-// worker counts.
+// internal/tcbf, internal/filter, internal/core, internal/trace* (the
+// tracegen pair streams included), internal/workload, internal/sim,
+// internal/metrics, and internal/xrand must not read wall clocks (time.Now
+// and friends — time is threaded explicitly as a parameter everywhere),
+// must not draw from the global math/rand state (seeded *rand.Rand
+// generators are fine), and must not iterate a map where the body's
+// effects are order-sensitive: appending to an outer slice that is not
+// subsequently sorted, accumulating floating-point sums, or feeding keys
+// into a filter/wire buffer whose state depends on insertion order. The
+// sharded runner's byte-identical-at-any-worker-count guarantee (DESIGN.md
+// §11) rests on exactly these properties: a map-ordered merge or an
+// ambient RNG in a stream would shift results between runs, not just
+// between worker counts.
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc:  "deterministic packages must not use wall clocks, global rand, or order-sensitive map iteration",
@@ -29,7 +28,7 @@ var Determinism = &Analyzer{
 		for _, scoped := range []string{
 			"internal/engine", "internal/tcbf", "internal/core",
 			"internal/sim", "internal/workload", "internal/metrics", "internal/xrand",
-			"internal/filter", "internal/bloofi",
+			"internal/filter",
 		} {
 			if rel == scoped || strings.HasPrefix(rel, scoped+"/") {
 				return true

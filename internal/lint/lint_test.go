@@ -125,7 +125,7 @@ func TestDeterminismSimFixture(t *testing.T) {
 	for _, rel := range []string{
 		"internal/sim", "internal/workload", "internal/metrics",
 		"internal/xrand", "internal/tracegen",
-		"internal/filter", "internal/bloofi",
+		"internal/filter",
 	} {
 		if !Determinism.Applies(rel) {
 			t.Errorf("determinism must apply to %s", rel)
@@ -166,7 +166,7 @@ func TestWireErrScope(t *testing.T) {
 	// with a wire codec.
 	for _, rel := range []string{
 		"internal/livenode", "internal/tcbf", "internal/mesh",
-		"internal/filter", "internal/bloofi",
+		"internal/filter",
 	} {
 		if !WireErr.Applies(rel) {
 			t.Errorf("wireerr must apply to %s", rel)
@@ -227,7 +227,7 @@ func TestLockOrderFixture(t *testing.T) {
 func TestWireTaintFixture(t *testing.T) {
 	for _, rel := range []string{
 		"internal/livenode", "internal/mesh", "internal/tcbf",
-		"internal/filter", "internal/bloofi",
+		"internal/filter",
 	} {
 		if !WireTaint.Applies(rel) {
 			t.Errorf("wiretaint must apply to %s", rel)

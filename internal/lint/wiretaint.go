@@ -28,7 +28,7 @@ var WireTaint = &Analyzer{
 	Doc:  "wire-derived lengths must be validated before sizing allocations, indexing, or bounding loops",
 	Applies: func(rel string) bool {
 		return underAny(rel, "internal/livenode", "internal/mesh",
-			"internal/tcbf", "internal/filter", "internal/bloofi")
+			"internal/tcbf", "internal/filter")
 	},
 	Run: runWireTaint,
 }

@@ -85,6 +85,20 @@ func TestHubServesFourPeersConcurrently(t *testing.T) {
 		}
 	}
 
+	// A dialer's Meet returns once it has read the hub's last frame; the
+	// hub's own bookkeeping (counters, then the OnSession hook) finishes
+	// just after. Wait for it before checking what it recorded.
+	waitActive(t, hub, 0)
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); {
+		sessionsMu.Lock()
+		n := len(finished)
+		sessionsMu.Unlock()
+		if n >= peers {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+
 	stats := hub.Stats()
 	if stats.MaxActive < peers {
 		t.Errorf("hub MaxActive = %d, want >= %d concurrent sessions", stats.MaxActive, peers)

@@ -370,12 +370,14 @@ func (n *Node) handleInbound(conn net.Conn) {
 	select {
 	case n.sessions <- struct{}{}:
 	default:
-		_ = writeFrame(conn, frameBusy, nil)
+		// Count the refusal before the dialer can see it: once the BUSY
+		// frame is out, the dialer may read this node's counters.
 		n.sessionEnded(SessionStats{
 			Phase:   PhaseConnect,
 			Outcome: OutcomeRefusedBusy,
 			Err:     ErrBusy,
 		}, false)
+		_ = writeFrame(conn, frameBusy, nil)
 		// Drain the dialer's next bytes before closing: closing with
 		// unread inbound data resets the connection, which can destroy
 		// the BUSY frame before the peer reads it.

@@ -5,19 +5,15 @@ import (
 	"sync"
 	"time"
 
-	"bsub/internal/bloofi"
 	"bsub/internal/tcbf"
 	"bsub/internal/workload"
 )
 
-// interestIndex is the mesh broker tier's aggregate view of downstream
-// subscriber interests: one decoded interest filter per peer (fed by the
-// livenode OnPeerGenuine hook as consumers hand their genuine filters
-// over during contact sessions) plus a Bloofi tree (internal/bloofi)
-// whose inner nodes max-aggregate those filters. When a fresh copy lands,
-// one O(log n) descent of the tree answers "does anyone downstream want
-// this?" before any per-peer filter is checked, and the per-peer pass
-// then picks the consumers worth an eager flood contact.
+// interestIndex is the mesh broker tier's view of downstream subscriber
+// interests: one decoded interest filter per peer, fed by the livenode
+// OnPeerGenuine hook as consumers hand their genuine filters over during
+// contact sessions. When a fresh copy lands, one pass over those filters
+// picks the consumers worth an eager flood contact.
 //
 // The index is advisory: flooding is an acceleration of the periodic
 // contact scheduler, which still visits every live peer each
@@ -33,24 +29,18 @@ type interestIndex struct {
 	// index from code paths that already released mu, and the rank
 	// guarantees no path ever reverses that.
 	//bsub:lockrank 40
-	mu    sync.Mutex
-	cfg   tcbf.Config
-	parts int
-	peers map[uint32]*peerInterest
-	tree  *bloofi.Tree
-	stale bool
+	mu  sync.Mutex
+	cfg tcbf.Config
+	// peers maps each peer to its decoded interest filter; nil marks an
+	// opaque peer.
+	peers map[uint32]*tcbf.Partitioned
 	// clock high-water mark: filters reject time moving backwards, and
 	// hook and flood goroutines may observe the mesh clock out of order.
 	last time.Duration
 }
 
-type peerInterest struct {
-	filter *tcbf.Partitioned // nil when opaque
-	opaque bool
-}
-
-func newInterestIndex(cfg tcbf.Config, parts int) *interestIndex {
-	return &interestIndex{cfg: cfg, parts: parts, peers: map[uint32]*peerInterest{}}
+func newInterestIndex(cfg tcbf.Config) *interestIndex {
+	return &interestIndex{cfg: cfg, peers: map[uint32]*tcbf.Partitioned{}}
 }
 
 // clamp keeps filter clocks monotonic under out-of-order observers.
@@ -74,12 +64,9 @@ func (ix *interestIndex) observe(peer uint32, encoded []byte, now time.Duration)
 	now = ix.clamp(now)
 	f, err := tcbf.DecodePartitioned(encoded, ix.cfg, now)
 	if err != nil {
-		ix.peers[peer] = &peerInterest{opaque: true}
-		ix.stale = true
-		return
+		f = nil
 	}
-	ix.peers[peer] = &peerInterest{filter: f}
-	ix.stale = true
+	ix.peers[peer] = f
 }
 
 // forget drops a dead peer's entry.
@@ -88,47 +75,15 @@ func (ix *interestIndex) forget(peer uint32) {
 		return
 	}
 	ix.mu.Lock()
-	if _, ok := ix.peers[peer]; ok {
-		delete(ix.peers, peer)
-		ix.stale = true
-	}
+	delete(ix.peers, peer)
 	ix.mu.Unlock()
-}
-
-// rebuild reconstitutes the Bloofi tree from the current per-peer
-// filters, in peer-ID order. Callers hold ix.mu.
-func (ix *interestIndex) rebuild(now time.Duration) error {
-	if ix.tree == nil {
-		t, err := bloofi.NewTree(bloofi.Backend{}, ix.cfg, ix.parts, now)
-		if err != nil {
-			return err
-		}
-		ix.tree = t
-	} else {
-		ix.tree.Reset(now)
-	}
-	ids := make([]uint32, 0, len(ix.peers))
-	for id, p := range ix.peers {
-		if p.filter != nil {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		if err := ix.tree.AbsorbPartitioned(ix.peers[id].filter, now); err != nil {
-			return err
-		}
-	}
-	ix.stale = false
-	return nil
 }
 
 // match returns the peers worth an eager flood contact for a message
 // carrying the given keys: every opaque peer (cannot be ruled out), plus
-// — only when the aggregate tree's descent says some downstream filter
-// holds one of the keys — each decodable peer whose own filter matches.
-// Sorted by ID. A filter error degrades to "flood everyone known" rather
-// than suppressing dissemination.
+// each decodable peer whose own filter holds one of the keys. Sorted by
+// ID. A filter error degrades to "flood everyone known" rather than
+// suppressing dissemination.
 func (ix *interestIndex) match(keys []workload.Key, now time.Duration) []uint32 {
 	if ix == nil || len(keys) == 0 {
 		return nil
@@ -140,44 +95,21 @@ func (ix *interestIndex) match(keys []workload.Key, now time.Duration) []uint32 
 
 	ix.mu.Lock()
 	ids := make([]uint32, 0, len(ix.peers))
-	everyone := false
 	now = ix.clamp(now)
-	for id, p := range ix.peers {
-		if p.opaque {
+	for id, f := range ix.peers {
+		if f == nil {
 			ids = append(ids, id)
+			continue
 		}
-	}
-	if len(ids) < len(ix.peers) { // some peer filters are decodable
-		if ix.stale {
-			if err := ix.rebuild(now); err != nil {
-				everyone = true
+		ok, err := f.ContainsAnyPre(pres, now)
+		if err != nil {
+			ids = ids[:0]
+			for id := range ix.peers {
+				ids = append(ids, id)
 			}
+			break
 		}
-		if !everyone {
-			hit, err := ix.tree.ContainsAnyPre(pres, now)
-			switch {
-			case err != nil:
-				everyone = true
-			case hit:
-				for id, p := range ix.peers {
-					if p.opaque {
-						continue
-					}
-					ok, err := p.filter.ContainsAnyPre(pres, now)
-					if err != nil {
-						everyone = true
-						break
-					}
-					if ok {
-						ids = append(ids, id)
-					}
-				}
-			}
-		}
-	}
-	if everyone {
-		ids = ids[:0]
-		for id := range ix.peers {
+		if ok {
 			ids = append(ids, id)
 		}
 	}

@@ -1,6 +1,7 @@
 package mesh
 
 import (
+	"sort"
 	"testing"
 	"time"
 
@@ -30,7 +31,7 @@ func encodeInterest(t *testing.T, cfg tcbf.Config, parts int, keys []string, now
 func TestInterestIndexMatch(t *testing.T) {
 	cfg := tcbf.Config{M: 256, K: 4, Initial: 10}
 	now := time.Hour
-	ix := newInterestIndex(cfg, 1)
+	ix := newInterestIndex(cfg)
 
 	ix.observe(7, encodeInterest(t, cfg, 1, []string{"news"}, now), now)
 	ix.observe(9, encodeInterest(t, cfg, 1, []string{"sports"}, now), now)
@@ -44,7 +45,7 @@ func TestInterestIndexMatch(t *testing.T) {
 	if got := ix.match([]workload.Key{"sports"}, now); len(got) != 1 || got[0] != 9 {
 		t.Errorf("match(sports) = %v, want [9]", got)
 	}
-	// The aggregate tree rules the whole tier out in one descent.
+	// No peer's own filter holds the key, so nobody is targeted.
 	if got := ix.match([]workload.Key{"opera"}, now); len(got) != 0 {
 		t.Errorf("match(opera) = %v, want none", got)
 	}
@@ -56,7 +57,7 @@ func TestInterestIndexMatch(t *testing.T) {
 func TestInterestIndexOpaquePeer(t *testing.T) {
 	cfg := tcbf.Config{M: 256, K: 4, Initial: 10}
 	now := time.Hour
-	ix := newInterestIndex(cfg, 1)
+	ix := newInterestIndex(cfg)
 
 	// A peer running a different filter backend hands over bytes this
 	// index cannot decode; it must be kept and always flooded.
@@ -75,7 +76,7 @@ func TestInterestIndexOpaquePeer(t *testing.T) {
 func TestInterestIndexForgetRebuilds(t *testing.T) {
 	cfg := tcbf.Config{M: 256, K: 4, Initial: 10}
 	now := time.Hour
-	ix := newInterestIndex(cfg, 1)
+	ix := newInterestIndex(cfg)
 
 	ix.observe(7, encodeInterest(t, cfg, 1, []string{"news"}, now), now)
 	if got := ix.match([]workload.Key{"news"}, now); len(got) != 1 {
@@ -85,7 +86,7 @@ func TestInterestIndexForgetRebuilds(t *testing.T) {
 	if ix.size() != 0 {
 		t.Errorf("size = %d after forget, want 0", ix.size())
 	}
-	// The stale tree must be rebuilt, not answer from the dead peer.
+	// The dead peer's filter must be gone, not answer for it.
 	if got := ix.match([]workload.Key{"news"}, now); len(got) != 0 {
 		t.Errorf("match(news) = %v after forget, want none", got)
 	}
@@ -93,10 +94,70 @@ func TestInterestIndexForgetRebuilds(t *testing.T) {
 	ix.forget(42)
 }
 
+// TestInterestIndexManyPeersDecay covers a large downstream set with
+// decay running: match must return exactly the peers whose own filter
+// holds a key, and nobody once that key has decayed away.
+func TestInterestIndexManyPeersDecay(t *testing.T) {
+	cfg := tcbf.Config{M: 256, K: 4, Initial: 10, DecayPerMinute: 1}
+	now := time.Hour
+	ix := newInterestIndex(cfg)
+
+	const peers = 100
+	topics := []string{"news", "sports", "weather", "opera", "chess"}
+	want := map[string][]uint32{}
+	for id := uint32(1); id <= peers; id++ {
+		k := topics[id%uint32(len(topics))]
+		ix.observe(id, encodeInterest(t, cfg, 1, []string{k}, now), now)
+		want[k] = append(want[k], id)
+	}
+	if ix.size() != peers {
+		t.Fatalf("size = %d, want %d", ix.size(), peers)
+	}
+
+	// Half the lifetime in, every key is live: each topic matches exactly
+	// its own subscribers (the universe has no colliding topic pairs at
+	// this geometry, which the exact comparison would otherwise expose).
+	at := now + 5*time.Minute
+	for _, k := range topics {
+		got := ix.match([]workload.Key{workload.Key(k)}, at)
+		if !equalIDs(got, want[k]) {
+			t.Errorf("match(%s) at +5m = %v, want %v", k, got, want[k])
+		}
+	}
+	both := append(append([]uint32{}, want["news"]...), want["chess"]...)
+	sort.Slice(both, func(i, j int) bool { return both[i] < both[j] })
+	if got := ix.match([]workload.Key{"news", "chess"}, at); !equalIDs(got, both) {
+		t.Errorf("match(news, chess) at +5m = %v, want %v", got, both)
+	}
+
+	// Initial 10 at DF 1/min: every counter is gone by +10m.
+	at = now + 11*time.Minute
+	for _, k := range topics {
+		if got := ix.match([]workload.Key{workload.Key(k)}, at); len(got) != 0 {
+			t.Errorf("match(%s) after decay = %v, want none", k, got)
+		}
+	}
+	if ix.size() != peers {
+		t.Errorf("size = %d after decay, want %d (decay empties filters, not the index)", ix.size(), peers)
+	}
+}
+
+func equalIDs(a, b []uint32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
 func TestInterestIndexClockClamp(t *testing.T) {
 	cfg := tcbf.Config{M: 256, K: 4, Initial: 10, DecayPerMinute: 1}
 	now := time.Hour
-	ix := newInterestIndex(cfg, 1)
+	ix := newInterestIndex(cfg)
 
 	ix.observe(7, encodeInterest(t, cfg, 1, []string{"news"}, now), now)
 	// Hook and flood goroutines can observe the mesh clock out of order;

@@ -189,8 +189,8 @@ type Mesh struct {
 	rng           *rand.Rand
 	lastDeadProbe time.Duration
 
-	// interests aggregates downstream subscriber interest filters into a
-	// Bloofi tree for flood targeting (see interests.go). It has its own
+	// interests holds one decoded interest filter per downstream
+	// subscriber for flood targeting (see interests.go). It has its own
 	// lock and is never touched while mu is held.
 	interests *interestIndex
 
@@ -207,17 +207,13 @@ type Mesh struct {
 // gossiping with cfg.Seeds.
 func Start(addr string, nodeCfg livenode.Config, cfg Config) (*Mesh, error) {
 	cfg = cfg.withDefaults()
-	parts := nodeCfg.Protocol.RelayPartitions
-	if parts < 1 {
-		parts = 1
-	}
 	m := &Mesh{
 		cfg:       cfg,
 		selfID:    nodeCfg.ID,
 		closed:    make(chan struct{}),
 		members:   map[uint32]*member{},
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		interests: newInterestIndex(nodeCfg.Protocol.FilterConfig(), parts),
+		interests: newInterestIndex(nodeCfg.Protocol.FilterConfig()),
 	}
 
 	clock := nodeCfg.Clock
@@ -711,12 +707,12 @@ func (m *Mesh) contactPeer(id uint32, addr string) error {
 // keys starts moving now instead of at the next periodic tick. Live
 // broker peers are always targeted (they relay on behalf of subscribers
 // this node cannot see); live consumer peers are targeted when the
-// interest index — one Bloofi-tree descent, then a per-peer filter check
-// only on a hit — says their subscriptions match. The actual transfer
-// still runs through ordinary contact sessions — claims commit on ACK
-// and abort on sever — so churn mid-hand-off refunds the copy instead of
-// losing it, and the periodic scheduler still visits every live peer, so
-// an interest miss delays nothing but the eager contact.
+// interest index — one check of each peer's own interest filter — says
+// their subscriptions match. The actual transfer still runs through
+// ordinary contact sessions — claims commit on ACK and abort on sever —
+// so churn mid-hand-off refunds the copy instead of losing it, and the
+// periodic scheduler still visits every live peer, so an interest miss
+// delays nothing but the eager contact.
 func (m *Mesh) flood(keys ...workload.Key) {
 	if m.cfg.NoFlood {
 		return

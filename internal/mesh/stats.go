@@ -37,13 +37,13 @@ type Counters struct {
 
 	// FloodTokens counts eager contact tokens issued by the
 	// dissemination path (Publish or a newly stored copy). FloodDirect
-	// is the subset aimed at non-broker peers whose interest filters —
-	// aggregated in the Bloofi tree — matched the fresh message's keys.
+	// is the subset aimed at non-broker peers whose own interest filters
+	// matched the fresh message's keys.
 	FloodTokens uint64
 	FloodDirect uint64
 
 	// InterestFilters counts downstream genuine (interest) filters
-	// absorbed into the Bloofi interest index via contact sessions.
+	// recorded in the interest index via contact sessions.
 	InterestFilters uint64
 
 	// DeadProbes counts anti-entropy gossip probes sent to dead members
