@@ -106,10 +106,11 @@ bench-smoke:
 
 # determinism is the quick-mode sharded-runner gate: the same seeded scale
 # config must produce byte-identical reports at workers=1 and workers=8,
-# across epoch widths, and streamed vs materialized (DESIGN.md §11).
+# across epoch widths, and streamed vs materialized, for B-SUB and the
+# PUSH/PULL baselines (DESIGN.md §11).
 determinism:
-	$(GO) test -count=1 -short -run 'TestShardedDeterminism|TestStreamedMatchesMaterialized|TestScaleRunDeterministicAcrossWorkers' \
-		./internal/sim ./internal/experiments
+	$(GO) test -count=1 -short -run 'TestShardedDeterminism|TestStreamedMatchesMaterialized|TestScaleRunDeterministicAcrossWorkers|TestBaselinesShardedDeterminism' \
+		./internal/sim ./internal/experiments ./internal/protocol
 
 # scale runs the full ROADMAP population sweep (10k / 100k / 1M nodes,
 # takes minutes and a few GB of RAM) and leaves scale.csv in artifacts/.

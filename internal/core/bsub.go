@@ -145,8 +145,8 @@ func (p *BSub) OnContact(env sim.Env, aID, bID trace.NodeID, budget *sim.Budget)
 	// live node performs. Sessions draw their scratch arenas from the
 	// executing worker's cache.
 	cache := p.caches[env.Worker()]
-	sa := a.eng.BeginContactFrom(cache, budget, now)
-	sb := b.eng.BeginContactFrom(cache, budget, now)
+	sa := a.eng.BeginContact(cache, budget, now)
+	sb := b.eng.BeginContact(cache, budget, now)
 	sa.SetPeer(sb.Hello())
 	sb.SetPeer(sa.Hello())
 	actA, actB := sa.Elect(), sb.Elect()

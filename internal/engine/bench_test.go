@@ -107,9 +107,10 @@ func newContactRig(tb testing.TB, c contactCase) (contact, reseed func()) {
 			tb.Fatal(err)
 		}
 	}
+	cache := NewSessionCache()
 	contact = func() {
-		sl := left.BeginContact(nil, now)
-		sr := right.BeginContact(nil, now)
+		sl := left.BeginContact(cache, nil, now)
+		sr := right.BeginContact(cache, nil, now)
 		sl.SetPeer(sr.Hello())
 		sr.SetPeer(sl.Hello())
 		actL, actR := sl.Elect(), sr.Elect()

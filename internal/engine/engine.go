@@ -4,7 +4,8 @@
 //
 // The engine owns all per-node protocol state — interests, the partitioned
 // TCBF relay filter (Section VI-D), broker role and election bookkeeping,
-// and the produced/carried message stores with copy accounting — and
+// and the produced/carried message stores (internal/msgstore, the store
+// the PUSH/PULL baselines run on too) with copy accounting — and
 // exposes a pure session state machine: BeginContact pins a contact
 // session, whose typed steps (hello/election, genuine-filter propagation,
 // relay exchange with preferential forwarding, interest-BF pulls) each

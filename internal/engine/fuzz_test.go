@@ -83,6 +83,7 @@ func FuzzSessionSteps(f *testing.F) {
 
 		var (
 			now      = time.Hour
+			cache    = NewSessionCache()
 			sa, sb   *Session
 			pending  []pend
 			born     = map[int]int{}
@@ -150,8 +151,8 @@ func FuzzSessionSteps(f *testing.F) {
 			switch code % 14 {
 			case 0: // begin a fresh contact (prior sessions sever)
 				settleSessions()
-				sa = a.BeginContact(nil, now)
-				sb = b.BeginContact(nil, now)
+				sa = a.BeginContact(cache, nil, now)
+				sb = b.BeginContact(cache, nil, now)
 				sa.SetPeer(sb.Hello())
 				sb.SetPeer(sa.Hello())
 				actA, actB := sa.Elect(), sb.Elect()

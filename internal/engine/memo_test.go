@@ -41,7 +41,7 @@ func freshEncodings(t *testing.T, n *Node, now time.Duration) (genuine, interest
 // c, returning the (aliased) bytes and the released session.
 func outs(t *testing.T, n *Node, c *SessionCache, now time.Duration) (genuine, interest []byte, s *Session) {
 	t.Helper()
-	s = n.BeginContactFrom(c, nil, now)
+	s = n.BeginContact(c, nil, now)
 	genuine, err := s.GenuineOut()
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func TestEncodingMemoConformance(t *testing.T) {
 
 				// A broker contact on the same cache decodes peer state
 				// into the arena's genuine and delivery scratch slots.
-				sb := broker.BeginContactFrom(cache, nil, now)
+				sb := broker.BeginContact(cache, nil, now)
 				sb.SetPeer(Hello{ID: n.id})
 				sb.Apply(ActNone, ActNone)
 				if err := sb.AbsorbGenuine(genuine); err != nil {
@@ -150,9 +150,10 @@ func TestEncodingMemoMultiKeyBypass(t *testing.T) {
 	cfg := DefaultConfig(0.1)
 	n := mustNode(t, 1, cfg, time.Hour)
 	n.Subscribe("news", "sports")
+	cache := NewSessionCache()
 	for step := 0; step < 3; step++ {
 		now := time.Duration(step) * time.Minute
-		genuine, interest, s := outs(t, n, nil, now)
+		genuine, interest, s := outs(t, n, cache, now)
 		wantG, wantI := freshEncodings(t, n, now)
 		if !bytes.Equal(genuine, wantG) || !bytes.Equal(interest, wantI) {
 			t.Fatalf("step %d: multi-key encodings differ from a fresh build", step)
@@ -171,9 +172,10 @@ func TestEncodingMemoMultiKeyBypass(t *testing.T) {
 func TestEncodingMemoBudget(t *testing.T) {
 	n := mustNode(t, 1, DefaultConfig(0.1), time.Hour)
 	n.Subscribe("news")
-	_, interest, _ := outs(t, n, nil, 0) // fill the memo
+	cache := NewSessionCache()
+	_, interest, _ := outs(t, n, cache, 0) // fill the memo
 	budget := &countingBudget{left: len(interest)}
-	s := n.BeginContact(budget, time.Minute)
+	s := n.BeginContact(cache, budget, time.Minute)
 	if data, err := s.InterestOut(); err != nil || !bytes.Equal(data, interest) {
 		t.Fatalf("InterestOut = %v, %v; want the memoized bytes", data, err)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"bsub/internal/analysis"
 	"bsub/internal/filter"
+	"bsub/internal/msgstore"
 	"bsub/internal/tcbf"
 	"bsub/internal/workload"
 )
@@ -85,8 +86,8 @@ type Node struct {
 	// replication budget; carried holds broker-relayed copies. Both are
 	// nil until first use (store reads are nil-safe): at million-node
 	// scale most nodes never hold a message.
-	produced *store
-	carried  *store
+	produced *msgstore.Store
+	carried  *msgstore.Store
 
 	// delivered dedups application deliveries by message ID. Lazy, like
 	// the two maps below: nil reads as empty, first write allocates.
@@ -102,10 +103,6 @@ type Node struct {
 	// sightLow bounds their times the way meetLow bounds the meetings.
 	sightings map[NodeID]sighting
 	sightLow  time.Duration
-
-	// freeSessions holds released sessions whose scratch arenas (filters,
-	// encode buffers, claim records) the next BeginContact reuses.
-	freeSessions []*Session
 
 	// clockHigh is the node's time high-water mark. Every session step that
 	// touches TCBF state ratchets its pinned time up to this mark (and
@@ -174,30 +171,18 @@ func (n *Node) Interests() []workload.Key {
 	return append([]workload.Key(nil), n.interests...)
 }
 
-// Wants reports whether the message matches the node's interests.
-func (n *Node) Wants(m *workload.Message) bool {
-	for _, want := range n.interests {
-		for _, k := range m.MatchKeys() {
-			if k == want {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // AddProduced stores one of the node's own messages with the full copy
 // budget; it expires TTL after creation.
 func (n *Node) AddProduced(msg workload.Message, payload []byte) {
 	if n.produced == nil {
-		n.produced = newStore()
+		n.produced = msgstore.New()
 	}
-	n.produced.add(&stored{
-		msg:       msg,
-		payload:   payload,
-		pre:       precomputeKeys(&msg),
-		expiresAt: msg.CreatedAt + n.ttl,
-		copies:    n.cfg.CopyLimit,
+	n.produced.Add(&msgstore.Copy{
+		Msg:       msg,
+		Payload:   payload,
+		Pre:       precomputeKeys(&msg),
+		ExpiresAt: msg.CreatedAt + n.ttl,
+		Copies:    n.cfg.CopyLimit,
 	})
 }
 
@@ -210,17 +195,17 @@ func (n *Node) AcceptCarried(msg workload.Message, payload []byte, now time.Dura
 		return acc
 	}
 	acc.Delivered = n.markDelivered(&msg)
-	if n.carried.has(msg.ID) {
+	if n.carried.Has(msg.ID) {
 		return acc
 	}
 	if n.carried == nil {
-		n.carried = newStore()
+		n.carried = msgstore.New()
 	}
-	n.carried.add(&stored{
-		msg:       msg,
-		payload:   payload,
-		pre:       precomputeKeys(&msg),
-		expiresAt: msg.CreatedAt + n.ttl,
+	n.carried.Add(&msgstore.Copy{
+		Msg:       msg,
+		Payload:   payload,
+		Pre:       precomputeKeys(&msg),
+		ExpiresAt: msg.CreatedAt + n.ttl,
 	})
 	acc.Stored = true
 	return acc
@@ -243,7 +228,7 @@ func (n *Node) ReceiveDelivery(msg workload.Message, from NodeID, now time.Durat
 // never delivers its own message to itself, even when a broker carries a
 // copy back to the producer.
 func (n *Node) markDelivered(msg *workload.Message) bool {
-	if msg.Origin == n.id || !n.Wants(msg) {
+	if msg.Origin == n.id || !msg.Matches(n.interests) {
 		return false
 	}
 	if _, dup := n.delivered[msg.ID]; dup {
@@ -502,29 +487,29 @@ func (n *Node) RetuneDF(now time.Duration) {
 
 // CarriedCount returns how many relayed copies the node holds (possibly
 // including not-yet-purged expired ones).
-func (n *Node) CarriedCount() int { return n.carried.len() }
+func (n *Node) CarriedCount() int { return n.carried.Len() }
 
 // CarriedIDs returns the IDs of all carried copies in ascending order.
-func (n *Node) CarriedIDs() []int { return n.carried.ids() }
+func (n *Node) CarriedIDs() []int { return n.carried.IDs() }
 
 // HasCarried reports whether the node carries a copy of message id.
-func (n *Node) HasCarried(id int) bool { return n.carried.has(id) }
+func (n *Node) HasCarried(id int) bool { return n.carried.Has(id) }
 
 // DropCarried removes a carried copy without a session (the simulator
 // collapses duplicate copies this way).
-func (n *Node) DropCarried(id int) { n.carried.remove(id) }
+func (n *Node) DropCarried(id int) { n.carried.Remove(id) }
 
 // ProducedCount returns how many own messages the node still holds.
-func (n *Node) ProducedCount() int { return n.produced.len() }
+func (n *Node) ProducedCount() int { return n.produced.Len() }
 
 // ProducedIDs returns the IDs of all held own messages in ascending order.
-func (n *Node) ProducedIDs() []int { return n.produced.ids() }
+func (n *Node) ProducedIDs() []int { return n.produced.IDs() }
 
 // ProducedCopies returns the remaining replication budget of message id,
 // or zero if the message is gone.
 func (n *Node) ProducedCopies(id int) int {
-	if e := n.produced.get(id); e != nil {
-		return e.copies
+	if c := n.produced.Get(id); c != nil {
+		return c.Copies
 	}
 	return 0
 }
@@ -544,8 +529,8 @@ func (n *Node) DeliveredIDs() []int {
 // TTL-from-creation rule the stores' lazy expiry uses (no separate
 // wall-clock bookkeeping).
 func (n *Node) Purge(now time.Duration) {
-	n.produced.live(now)
-	n.carried.live(now)
+	n.produced.Live(now)
+	n.carried.Live(now)
 }
 
 // ClearSentTo forgets that any produced message was served directly to
@@ -554,11 +539,4 @@ func (n *Node) Purge(now time.Duration) {
 // otherwise block redelivery forever. A live peer that was wrongly
 // suspected simply dedups the repeat delivery (exactly-once per
 // incarnation is the receiver's job).
-func (n *Node) ClearSentTo(peer NodeID) {
-	if n.produced == nil {
-		return
-	}
-	for _, e := range n.produced.entries {
-		delete(e.sent, peer)
-	}
-}
+func (n *Node) ClearSentTo(peer NodeID) { n.produced.ClearSentTo(peer) }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"bsub/internal/filter"
+	"bsub/internal/msgstore"
 	"bsub/internal/tcbf"
 	"bsub/internal/workload"
 )
@@ -59,8 +60,8 @@ type Forward struct {
 // is never refunded: a severed contact still transmitted the bytes.
 //
 // A session owns a scratch arena — filters, encode buffers, candidate and
-// transfer lists, claim records — that Release returns to the node for the
-// next contact, so a warm BeginContact → … → Release cycle allocates
+// transfer lists, claim records — that Release returns to its SessionCache
+// for the next contact, so a warm BeginContact → … → Release cycle allocates
 // nothing. The arena implies an aliasing contract: bytes returned by an
 // *Out step are read-only and valid until the same step runs again on this
 // session (or the session is released), and the slices returned by
@@ -75,8 +76,7 @@ type Session struct {
 	n      *Node
 	budget Budget
 	now    time.Duration
-	// cache, when non-nil, is where Release returns this session instead
-	// of the node's own freelist (see SessionCache).
+	// cache is where Release returns this session.
 	cache *SessionCache
 
 	// helloBroker pins the role announced at contact start; concurrent
@@ -122,9 +122,9 @@ type Session struct {
 	// CountersNone carry no clock — so an arena serving many nodes encodes
 	// each key once. dropArena clears it along with the geometry.
 	encMemo map[workload.Key]*keyEnc
-	// geom is the geometry the arena is built for (SessionCache sessions
-	// only). A rebind compares the incoming node against it instead of
-	// dereferencing the previous node, a cold read at population scale.
+	// geom is the geometry the arena is built for. A rebind compares the
+	// incoming node against it instead of dereferencing the previous node,
+	// a cold read at population scale.
 	geom arenaGeometry
 
 	cands     []Forward
@@ -133,34 +133,16 @@ type Session struct {
 	claimArena claimArena
 }
 
-// BeginContact opens a contact session at the given time, reusing a
-// released session's scratch arena when one is available. The hello
-// snapshot (role, degree) is taken before the meeting itself is recorded.
-//
-//bsub:hotpath
-func (n *Node) BeginContact(budget Budget, now time.Duration) *Session {
-	var s *Session
-	if k := len(n.freeSessions); k > 0 {
-		s = n.freeSessions[k-1]
-		n.freeSessions[k-1] = nil
-		n.freeSessions = n.freeSessions[:k-1]
-	} else {
-		s = &Session{n: n}
-	}
-	s.cache = nil
-	return s.begin(budget, now)
-}
-
-// SessionCache pools released sessions' scratch arenas across nodes.
-// Per-node freelists (BeginContact) keep one warm arena per node — at
-// million-node populations that is gigabytes of idle scratch filters. An
-// adapter that serializes its contacts (or runs one cache per worker, as
-// the sharded simulator does) needs only as many arenas as it has
-// concurrent contacts, whatever the population size. A cache must not be
-// used from concurrent goroutines, and every node it serves must run the
-// same filter geometry (Config.FilterM/FilterK/Partitions); a session
-// rebound to a node with different geometry drops its arena, memoized
-// encodings included, and rebuilds lazily.
+// SessionCache pools released sessions' scratch arenas. One arena per
+// node would leave gigabytes of idle scratch filters at million-node
+// populations; an adapter that serializes its contacts (a live node
+// under its lock) or runs one cache per worker (the sharded simulator)
+// needs only as many arenas as it has concurrent contacts, whatever the
+// population size. A cache must not be used from concurrent goroutines,
+// and every node it serves should run the same filter geometry
+// (Config.FilterM/FilterK/Partitions): a session rebound to a node with
+// different geometry drops its arena, memoized encodings included, and
+// rebuilds lazily. The zero value is an empty cache.
 type SessionCache struct {
 	free []*Session
 }
@@ -168,18 +150,16 @@ type SessionCache struct {
 // NewSessionCache returns an empty cache.
 func NewSessionCache() *SessionCache { return &SessionCache{} }
 
-// BeginContactFrom opens a contact session like BeginContact, drawing the
-// scratch arena from c instead of the node's own freelist; Release will
-// return it to c. A nil cache falls back to BeginContact. Rebinding a
-// cached arena to a different node is safe: every scratch filter is
-// Reset/DecodeInto'd (which re-pins its clock) before use, so the arena
-// carries no state — and in particular no time obligation — between nodes.
+// BeginContact opens a contact session at the given time, drawing a
+// released session's scratch arena from c when one is available; Release
+// returns it to c. The hello snapshot (role, degree) is taken before the
+// meeting itself is recorded. Rebinding a cached arena to a different
+// node is safe: every scratch filter is Reset/DecodeInto'd (which re-pins
+// its clock) before use, so the arena carries no state — and in
+// particular no time obligation — between nodes.
 //
 //bsub:hotpath
-func (n *Node) BeginContactFrom(c *SessionCache, budget Budget, now time.Duration) *Session {
-	if c == nil {
-		return n.BeginContact(budget, now)
-	}
+func (n *Node) BeginContact(c *SessionCache, budget Budget, now time.Duration) *Session {
 	var s *Session
 	if k := len(c.free); k > 0 {
 		s = c.free[k-1]
@@ -296,8 +276,9 @@ func (s *Session) begin(budget Budget, now time.Duration) *Session {
 var claimLeakHook func(leaked int)
 
 // Release ends the session's lifecycle: any unsettled claim is refunded
-// (as by Abort) and the session's scratch arena returns to the node, where
-// the next BeginContact reuses its filters, buffers, and claim records.
+// (as by Abort) and the session's scratch arena returns to its cache,
+// where the next BeginContact reuses its filters, buffers, and claim
+// records.
 // The session, its claims, and any slice a step returned must not be used
 // after Release. Idempotent.
 //
@@ -316,11 +297,7 @@ func (s *Session) Release() {
 		claimLeakHook(leaked)
 	}
 	s.released = true
-	if s.cache != nil {
-		s.cache.free = append(s.cache.free, s)
-		return
-	}
-	s.n.freeSessions = append(s.n.freeSessions, s)
+	s.cache.free = append(s.cache.free, s)
 }
 
 // ratchet clamps the session's pinned time to the node's high-water mark.
@@ -614,9 +591,9 @@ func (s *Session) ForwardCandidates() ([]Forward, error) {
 		return nil, nil
 	}
 	cands := s.cands[:0]
-	for _, e := range s.n.carried.live(s.now) {
+	for _, e := range s.n.carried.Live(s.now) {
 		best, ok := 0.0, false
-		for _, k := range e.pre {
+		for _, k := range e.Pre {
 			pref, err := s.relay.PreferencePre(k, s.peerRelay, s.now)
 			if err != nil {
 				return nil, err
@@ -628,7 +605,7 @@ func (s *Session) ForwardCandidates() ([]Forward, error) {
 		if !ok || best <= 0 {
 			continue
 		}
-		cands = append(cands, Forward{Msg: e.msg, Payload: e.payload, Pref: best})
+		cands = append(cands, Forward{Msg: e.Msg, Payload: e.Payload, Pref: best})
 	}
 	slices.SortFunc(cands, func(a, b Forward) int {
 		switch {
@@ -698,31 +675,31 @@ func (s *Session) DeliveryMatches(data []byte) ([]Transfer, error) {
 		return nil, err
 	}
 	out := s.transfers[:0]
-	for _, e := range s.n.produced.live(s.now) {
-		if e.sentTo(s.peer.ID) {
+	for _, e := range s.n.produced.Live(s.now) {
+		if e.SentTo(s.peer.ID) {
 			continue
 		}
-		match, err := f.ContainsAnyPre(e.pre, s.now)
+		match, err := f.ContainsAnyPre(e.Pre, s.now)
 		if err != nil {
 			return nil, err
 		}
 		if !match {
 			continue
 		}
-		out = append(out, Transfer{Msg: e.msg, Payload: e.payload})
+		out = append(out, Transfer{Msg: e.Msg, Payload: e.Payload})
 	}
-	for _, e := range s.n.carried.live(s.now) {
-		if e.msg.Origin == s.peer.ID {
+	for _, e := range s.n.carried.Live(s.now) {
+		if e.Msg.Origin == s.peer.ID {
 			continue
 		}
-		match, err := f.ContainsAnyPre(e.pre, s.now)
+		match, err := f.ContainsAnyPre(e.Pre, s.now)
 		if err != nil {
 			return nil, err
 		}
 		if !match {
 			continue
 		}
-		out = append(out, Transfer{Msg: e.msg, Payload: e.payload, Carried: true})
+		out = append(out, Transfer{Msg: e.Msg, Payload: e.Payload, Carried: true})
 	}
 	s.transfers = out
 	return out, nil
@@ -770,16 +747,16 @@ func (s *Session) ReplicationMatches(data []byte) ([]Transfer, error) {
 		return nil, err
 	}
 	out := s.transfers[:0]
-	for _, e := range s.n.produced.live(s.now) {
-		if e.copies <= 0 {
+	for _, e := range s.n.produced.Live(s.now) {
+		if e.Copies <= 0 {
 			continue
 		}
-		match, err := adv.ContainsAnyPre(e.pre, s.now)
+		match, err := adv.ContainsAnyPre(e.Pre, s.now)
 		if err != nil {
 			return nil, err
 		}
 		if match {
-			out = append(out, Transfer{Msg: e.msg, Payload: e.payload})
+			out = append(out, Transfer{Msg: e.Msg, Payload: e.Payload})
 		}
 	}
 	s.transfers = out
@@ -809,7 +786,7 @@ type Claim struct {
 	// record instead of a closure keeps claims allocation-free.
 	kind  claimKind
 	n     *Node
-	entry *stored
+	entry *msgstore.Copy
 	peer  NodeID
 }
 
@@ -838,11 +815,11 @@ func (c *Claim) Abort() {
 	c.settled = true
 	switch c.kind {
 	case claimCarried:
-		c.n.carried.add(c.entry)
+		c.n.carried.Add(c.entry)
 	case claimDirect:
-		delete(c.entry.sent, c.peer)
+		c.entry.UnmarkSent(c.peer)
 	case claimReplication:
-		c.entry.copies++
+		c.entry.Copies++
 	}
 }
 
@@ -879,12 +856,12 @@ func (a *claimArena) reset() { a.used = 0 }
 // session is aborted)".
 //
 //bsub:hotpath
-func (s *Session) claim(e *stored, kind claimKind) (*Claim, bool) {
-	if !s.budget.Spend(e.msg.Size) {
+func (s *Session) claim(e *msgstore.Copy, kind claimKind) (*Claim, bool) {
+	if !s.budget.Spend(e.Msg.Size) {
 		return nil, false
 	}
 	c := s.claimArena.take()
-	c.msg, c.payload = e.msg, e.payload
+	c.msg, c.payload = e.Msg, e.Payload
 	c.kind, c.n, c.entry, c.peer = kind, s.n, e, s.peer.ID
 	s.claims = append(s.claims, c)
 	return c, true
@@ -898,13 +875,13 @@ func (s *Session) ClaimCarried(id int) (*Claim, bool) {
 	if s.poisoned {
 		return nil, false
 	}
-	e := s.n.carried.get(id)
+	e := s.n.carried.Get(id)
 	if e == nil {
 		return nil, true
 	}
 	c, ok := s.claim(e, claimCarried)
 	if c != nil {
-		s.n.carried.remove(id)
+		s.n.carried.Remove(id)
 	}
 	return c, ok
 }
@@ -918,13 +895,13 @@ func (s *Session) ClaimDirect(id int) (*Claim, bool) {
 	if s.poisoned {
 		return nil, false
 	}
-	e := s.n.produced.get(id)
-	if e == nil || e.sentTo(s.peer.ID) {
+	e := s.n.produced.Get(id)
+	if e == nil || e.SentTo(s.peer.ID) {
 		return nil, true
 	}
 	c, ok := s.claim(e, claimDirect)
 	if c != nil {
-		e.markSent(s.peer.ID)
+		e.MarkSent(s.peer.ID)
 	}
 	return c, ok
 }
@@ -941,13 +918,13 @@ func (s *Session) ClaimReplication(id int) (*Claim, bool) {
 	if s.poisoned {
 		return nil, false
 	}
-	e := s.n.produced.get(id)
-	if e == nil || e.copies <= 0 {
+	e := s.n.produced.Get(id)
+	if e == nil || e.Copies <= 0 {
 		return nil, true
 	}
 	c, ok := s.claim(e, claimReplication)
 	if c != nil {
-		e.copies--
+		e.Copies--
 	}
 	return c, ok
 }

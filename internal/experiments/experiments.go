@@ -220,7 +220,6 @@ func TTLSweep(f *Fixture, ttls []time.Duration) ([]TTLPoint, error) {
 				store: func(p *TTLPoint, r metrics.Report) { p.Pull = r },
 			},
 		} {
-			j := j
 			jobs = append(jobs, func() error {
 				rep, err := j.run()
 				if err != nil {
@@ -246,7 +245,6 @@ func runBounded(jobs []func() error, mu *sync.Mutex, firstErr *error) error {
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 	for _, job := range jobs {
-		job := job
 		wg.Add(1)
 		sem <- struct{}{}
 		go func() {

@@ -8,9 +8,10 @@ import (
 )
 
 // Determinism keeps the replayable core replayable: internal/engine,
-// internal/tcbf, internal/filter, internal/core, internal/trace* (the
-// tracegen pair streams included), internal/workload, internal/sim,
-// internal/metrics, and internal/xrand must not read wall clocks (time.Now
+// internal/msgstore, internal/tcbf, internal/filter, internal/core,
+// internal/protocol, internal/trace* (the tracegen pair streams
+// included), internal/workload, internal/sim, internal/metrics, and
+// internal/xrand must not read wall clocks (time.Now
 // and friends — time is threaded explicitly as a parameter everywhere),
 // must not draw from the global math/rand state (seeded *rand.Rand
 // generators are fine), and must not iterate a map where the body's
@@ -26,9 +27,9 @@ var Determinism = &Analyzer{
 	Doc:  "deterministic packages must not use wall clocks, global rand, or order-sensitive map iteration",
 	Applies: func(rel string) bool {
 		for _, scoped := range []string{
-			"internal/engine", "internal/tcbf", "internal/core",
-			"internal/sim", "internal/workload", "internal/metrics", "internal/xrand",
-			"internal/filter",
+			"internal/engine", "internal/msgstore", "internal/tcbf", "internal/core",
+			"internal/protocol", "internal/sim", "internal/workload", "internal/metrics",
+			"internal/xrand", "internal/filter",
 		} {
 			if rel == scoped || strings.HasPrefix(rel, scoped+"/") {
 				return true

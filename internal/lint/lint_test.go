@@ -121,11 +121,13 @@ func TestDeterminismFixture(t *testing.T) {
 
 func TestDeterminismSimFixture(t *testing.T) {
 	// The sharded-runner patterns: map-ordered shard merges, ambient RNG
-	// in pair streams, wall clocks in the event loop.
+	// in pair streams, wall clocks in the event loop. The baselines and
+	// the message store they share with the engine run under the same
+	// executor.
 	for _, rel := range []string{
 		"internal/sim", "internal/workload", "internal/metrics",
 		"internal/xrand", "internal/tracegen",
-		"internal/filter",
+		"internal/filter", "internal/msgstore", "internal/protocol",
 	} {
 		if !Determinism.Applies(rel) {
 			t.Errorf("determinism must apply to %s", rel)

@@ -134,12 +134,13 @@ type Node struct {
 	// either direction) holds one slot.
 	sessions chan struct{}
 
-	// mu guards the engine node and the publish sequence. It never
-	// nests with statsMu, but the ranks pin the order if that ever
-	// changes: mu first, statsMu innermost.
+	// mu guards the engine node, its session arenas and the publish
+	// sequence. It never nests with statsMu, but the ranks pin the order
+	// if that ever changes: mu first, statsMu innermost.
 	//bsub:lockrank 10
 	mu      sync.Mutex
 	eng     *engine.Node
+	arenas  engine.SessionCache
 	nextSeq uint32
 
 	// statsMu guards the session counters (see stats.go).

@@ -174,7 +174,7 @@ func (s *session) run(now time.Duration) error {
 	// session announces; the engine pins them for the contact.
 	n.mu.Lock()
 	n.eng.Purge(now)
-	s.es = n.eng.BeginContact(nil, now)
+	s.es = n.eng.BeginContact(&n.arenas, nil, now)
 	self := s.es.Hello()
 	n.mu.Unlock()
 	wireSelf := hello{

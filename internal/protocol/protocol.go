@@ -9,10 +9,12 @@
 //     overhead is minimal (one forwarding per delivery) but delivery ratio
 //     and delay suffer.
 //
-// Both keep strictly per-node state — stores indexed by node, duplicate
-// tracking keyed by the receiving node — so they run unsynchronized under
-// the sharded simulator: contacts executed concurrently never share a
-// node, hence never share any of this state.
+// Both buffer copies in the msgstore.Store B-SUB's engine uses, one store
+// per node, so the three protocols share one expiry and iteration rule.
+// The only mutable state is per node — a node's store, and the served-peer
+// set of a copy in a producer's store — so the baselines run
+// unsynchronized under the sharded simulator: contacts executed
+// concurrently never share a node, hence never share any of this state.
 package protocol
 
 import (
@@ -24,24 +26,31 @@ import (
 	"bsub/internal/workload"
 )
 
-// matches reports whether any of the message's keys is in node n's
-// interest set (multi-key extension; reduces to equality for the paper's
-// one-key workload).
-func matches(pop sim.Population, m *workload.Message, n trace.NodeID) bool {
-	for _, want := range pop.InterestSet(n) {
-		for _, k := range m.MatchKeys() {
-			if k == want {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// Push is the epidemic flooding baseline.
-type Push struct {
+// nodeStores holds one message store per node and supplies the Init and
+// OnMessage both baselines share.
+type nodeStores struct {
 	stores []*msgstore.Store
 }
+
+// Init implements sim.Protocol.
+func (p *nodeStores) Init(pop sim.Population, _ *rand.Rand) error {
+	p.stores = make([]*msgstore.Store, pop.Nodes())
+	for i := range p.stores {
+		p.stores[i] = msgstore.New()
+	}
+	return nil
+}
+
+// OnMessage stores the new message at its producer, expiring TTL after
+// creation.
+func (p *nodeStores) OnMessage(env sim.Env, msg workload.Message) {
+	p.stores[msg.Origin].Add(&msgstore.Copy{Msg: msg, ExpiresAt: msg.CreatedAt + env.TTL()})
+}
+
+// Push is the epidemic flooding baseline. Its copies are never mutated
+// once stored, so a replica is the sender's *msgstore.Copy itself: every
+// node holding a message shares one read-only record.
+type Push struct{ nodeStores }
 
 var _ sim.Protocol = (*Push)(nil)
 
@@ -51,20 +60,6 @@ func NewPush() *Push { return &Push{} }
 // Name implements sim.Protocol.
 func (p *Push) Name() string { return "PUSH" }
 
-// Init implements sim.Protocol.
-func (p *Push) Init(pop sim.Population, _ *rand.Rand) error {
-	p.stores = make([]*msgstore.Store, pop.Nodes())
-	for i := range p.stores {
-		p.stores[i] = msgstore.New()
-	}
-	return nil
-}
-
-// OnMessage stores the new message at its origin.
-func (p *Push) OnMessage(env sim.Env, msg workload.Message) {
-	p.stores[msg.Origin].Add(msg, msg.CreatedAt+env.TTL(), 0)
-}
-
 // OnContact replicates every message each side stores to the other, budget
 // permitting, and delivers to interested receivers.
 func (p *Push) OnContact(env sim.Env, a, b trace.NodeID, budget *sim.Budget) {
@@ -73,33 +68,27 @@ func (p *Push) OnContact(env sim.Env, a, b trace.NodeID, budget *sim.Budget) {
 }
 
 func (p *Push) replicate(env sim.Env, from, to trace.NodeID, budget *sim.Budget) {
-	now := env.Now()
-	src, dst := p.stores[from], p.stores[to]
-	for _, m := range src.Live(now) {
-		if dst.Has(m.ID) {
+	dst := p.stores[to]
+	for _, c := range p.stores[from].Live(env.Now()) {
+		if dst.Has(c.Msg.ID) {
 			continue
 		}
-		if !budget.Spend(m.Size) {
+		if !budget.Spend(c.Msg.Size) {
 			return
 		}
-		m := m
-		dst.Add(m, m.CreatedAt+env.TTL(), 0)
-		env.RecordForwarding(&m)
-		if matches(env, &m, to) {
-			env.Deliver(&m, to)
+		dst.Add(c)
+		env.RecordForwarding(&c.Msg)
+		if c.Msg.Matches(env.InterestSet(to)) {
+			env.Deliver(&c.Msg, to)
 		}
 	}
 }
 
-// Pull is the one-hop interest-pulling baseline.
-type Pull struct {
-	stores []*msgstore.Store
-	// sent tracks which (message, receiver) transfers already happened so
-	// a producer does not repeat a transfer to the same consumer. It is
-	// keyed by the receiving node, which makes it per-node state: only a
-	// contact involving that node can read or write its map.
-	sent []map[int]struct{}
-}
+// Pull is the one-hop interest-pulling baseline. Only a message's producer
+// ever stores it, so the producer copy's served-peer set is exactly the
+// record of which consumers already pulled it: a producer never repeats a
+// transfer to the same consumer.
+type Pull struct{ nodeStores }
 
 var _ sim.Protocol = (*Pull)(nil)
 
@@ -109,22 +98,6 @@ func NewPull() *Pull { return &Pull{} }
 // Name implements sim.Protocol.
 func (p *Pull) Name() string { return "PULL" }
 
-// Init implements sim.Protocol.
-func (p *Pull) Init(pop sim.Population, _ *rand.Rand) error {
-	p.stores = make([]*msgstore.Store, pop.Nodes())
-	for i := range p.stores {
-		p.stores[i] = msgstore.New()
-	}
-	p.sent = make([]map[int]struct{}, pop.Nodes())
-	return nil
-}
-
-// OnMessage stores the new message at its producer; in PULL only producers
-// hold messages.
-func (p *Pull) OnMessage(env sim.Env, msg workload.Message) {
-	p.stores[msg.Origin].Add(msg, msg.CreatedAt+env.TTL(), 0)
-}
-
 // OnContact lets each side pull the other's matching messages.
 func (p *Pull) OnContact(env sim.Env, a, b trace.NodeID, budget *sim.Budget) {
 	p.pull(env, a, b, budget)
@@ -133,23 +106,16 @@ func (p *Pull) OnContact(env sim.Env, a, b trace.NodeID, budget *sim.Budget) {
 
 // pull transfers from's stored messages that match to's interests.
 func (p *Pull) pull(env sim.Env, to, from trace.NodeID, budget *sim.Budget) {
-	now := env.Now()
-	for _, m := range p.stores[from].Live(now) {
-		m := m
-		if !matches(env, &m, to) {
+	interests := env.InterestSet(to)
+	for _, c := range p.stores[from].Live(env.Now()) {
+		if !c.Msg.Matches(interests) || c.SentTo(int(to)) {
 			continue
 		}
-		if _, dup := p.sent[to][m.ID]; dup {
-			continue
-		}
-		if !budget.Spend(m.Size) {
+		if !budget.Spend(c.Msg.Size) {
 			return
 		}
-		if p.sent[to] == nil {
-			p.sent[to] = make(map[int]struct{})
-		}
-		p.sent[to][m.ID] = struct{}{}
-		env.RecordForwarding(&m)
-		env.Deliver(&m, to)
+		c.MarkSent(int(to))
+		env.RecordForwarding(&c.Msg)
+		env.Deliver(&c.Msg, to)
 	}
 }

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -186,5 +187,70 @@ func assertSane(t *testing.T, r metrics.Report) {
 	}
 	if r.MeanDelay() < 0 {
 		t.Errorf("%s: negative delay", r.Protocol)
+	}
+}
+
+// shardConfig is a streamed scale population run on the given number of
+// workers and epoch width (zero: the default).
+func shardConfig(t *testing.T, nodes, workers int, epoch time.Duration) sim.Config {
+	t.Helper()
+	tc := tracegen.Scale(nodes, 7)
+	cs, err := tracegen.NewStream(tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ks := workload.NewTrendKeySet()
+	rates := make([]float64, nodes)
+	for i := range rates {
+		rates[i] = 1
+	}
+	return sim.Config{
+		Source:    cs,
+		MsgSource: workload.NewStream(ks, rates, tc.Span, 7),
+		Interests: workload.Interests(ks, nodes, rand.New(rand.NewSource(7))),
+		TTL:       4 * time.Hour,
+		Seed:      7,
+		Workers:   workers,
+		Epoch:     epoch,
+	}
+}
+
+// TestBaselinesShardedDeterminism pins the baselines to the sharded
+// executor's guarantee: PUSH and PULL produce reflect.DeepEqual reports at
+// any worker count and epoch width. PUSH shares read-only copies across
+// node stores and PULL mutates a producer copy's served-peer set, so both
+// lean on the per-node state rule the executor's concurrency rests on.
+func TestBaselinesShardedDeterminism(t *testing.T) {
+	const nodes = 200
+	for _, mk := range []func() sim.Protocol{
+		func() sim.Protocol { return NewPush() },
+		func() sim.Protocol { return NewPull() },
+	} {
+		base, err := sim.Run(shardConfig(t, nodes, 1, 0), mk())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if base.Delivered == 0 || base.Forwardings == 0 {
+			t.Fatalf("%s: degenerate run: %s", base.Protocol, base)
+		}
+		for _, tc := range []struct {
+			workers int
+			epoch   time.Duration
+		}{
+			{3, 0},
+			{8, 0},
+			{3, 7 * time.Minute},
+			{8, time.Hour},
+			{1, time.Minute},
+		} {
+			got, err := sim.Run(shardConfig(t, nodes, tc.workers, tc.epoch), mk())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, base) {
+				t.Errorf("%s workers=%d epoch=%v: report differs from workers=1:\ngot  %+v\nwant %+v",
+					base.Protocol, tc.workers, tc.epoch, got, base)
+			}
+		}
 	}
 }

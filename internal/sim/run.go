@@ -36,18 +36,6 @@ func (p *population) InterestSet(n trace.NodeID) []workload.Key {
 	return p.interests[n : n+1]
 }
 
-// matches reports whether any of the message's keys is subscribed by node n.
-func (p *population) matches(msg *workload.Message, n trace.NodeID) bool {
-	for _, want := range p.InterestSet(n) {
-		for _, k := range msg.MatchKeys() {
-			if k == want {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // deliverable reports whether any node other than the producer subscribes
 // to one of the message's keys.
 func (p *population) deliverable(m *workload.Message) bool {
@@ -97,7 +85,7 @@ func (e *workerEnv) Deliver(msg *workload.Message, to trace.NodeID) {
 		return
 	}
 	e.collector.DataBytes(msg.Size)
-	if int(to) != msg.Origin && e.matches(msg, to) {
+	if int(to) != msg.Origin && msg.Matches(e.InterestSet(to)) {
 		e.collector.GenuineDelivery(msg.ID, int(to), e.now-msg.CreatedAt)
 		return
 	}

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 )
 
@@ -256,6 +257,20 @@ func (m Message) MatchKeys() []Key {
 	out := make([]Key, 0, 1+len(m.Extra))
 	out = append(out, m.Key)
 	return append(out, m.Extra...)
+}
+
+// Matches reports whether any of the message's keys is in interests: the
+// primary key first, then the extras. Unlike MatchKeys it builds no slice.
+func (m *Message) Matches(interests []Key) bool {
+	if slices.Contains(interests, m.Key) {
+		return true
+	}
+	for _, k := range m.Extra {
+		if slices.Contains(interests, k) {
+			return true
+		}
+	}
+	return false
 }
 
 // Rates converts per-node centralities to message generation rates

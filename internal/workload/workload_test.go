@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -256,6 +257,27 @@ func TestMatchKeys(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Errorf("MatchKeys[%d] = %q, want %q", i, got[i], want[i])
+		}
+	}
+}
+
+// TestMessageMatches checks Matches against the MatchKeys double loop it
+// replaced, for single- and multi-key messages.
+func TestMessageMatches(t *testing.T) {
+	msgs := []Message{
+		{ID: 0, Key: "a"},
+		{ID: 1, Key: "a", Extra: []Key{"b", "c"}},
+	}
+	sets := [][]Key{nil, {"a"}, {"b"}, {"c", "z"}, {"z"}, {"y", "z"}}
+	for _, m := range msgs {
+		for _, set := range sets {
+			want := false
+			for _, k := range m.MatchKeys() {
+				want = want || slices.Contains(set, k)
+			}
+			if got := m.Matches(set); got != want {
+				t.Errorf("message %d Matches(%v) = %v, want %v", m.ID, set, got, want)
+			}
 		}
 	}
 }
