@@ -1,7 +1,7 @@
 GO ?= go
 SHADOW := $(shell command -v shadow 2>/dev/null)
 
-.PHONY: build test race vet vet-shadow fmt-check lint lint-one parity chaos chaos-mesh fuzz golden bench-smoke determinism scale ablation ablation-smoke perfbench-test check bench
+.PHONY: build test race vet vet-shadow fmt-check lint lint-one parity chaos chaos-mesh fuzz golden bench-smoke determinism scale ablation perfbench-test check bench
 
 build:
 	$(GO) build ./...
@@ -83,14 +83,13 @@ fuzz:
 	$(GO) test ./internal/faultnet -run '^$$' -fuzz FuzzFabricHealDuringHandshake -fuzztime 5s
 
 # golden regenerates the quick-mode experiment CSVs (seed 1) and compares
-# them byte-for-byte against the committed goldens: the figure series in
-# cmd/experiments/testdata, pinning the zero-allocation contact path to
-# the exact results of the straightforward implementation it replaced,
-# and the filter-backend ablation grid in internal/experiments/testdata,
-# pinning the filter seam itself.
+# them byte-for-byte against the committed goldens in
+# cmd/experiments/testdata: the fig7/fig9 series, pinning the
+# zero-allocation contact path to the exact results of the
+# straightforward implementation it replaced, and the seven ablation
+# grids.
 golden:
 	$(GO) test -count=1 -run TestGoldenCSVs ./cmd/experiments
-	$(GO) test -count=1 -run TestBackendAblationGolden ./internal/experiments
 
 # bench-smoke runs the contact benchmarks — the engine session and the
 # simulator adapter's broker-broker contact on top of it — and the relay
@@ -117,18 +116,11 @@ determinism:
 scale:
 	$(GO) run ./cmd/experiments -run scale -csv artifacts
 
-# ablation runs the full ablation battery — including the filter-backend
-# matrix over the fig7/fig9 traces and the 10k-node streamed population —
-# leaving the CSV grids in artifacts/ and printing the population leg.
-# Takes minutes.
+# ablation runs the full ablation battery over the MIT trace (merge,
+# decay, copy limit, election thresholds, geometry, DF policy, relay
+# partitions), leaving the seven CSV grids in artifacts/. Takes seconds.
 ablation:
 	$(GO) run ./cmd/experiments -run ablation -csv artifacts
-
-# ablation-smoke is the quick-mode backend-matrix gate: the conformance
-# subjects build, every backend survives a full trace replay and the
-# streamed-population leg, and the quick grid matches its golden.
-ablation-smoke:
-	$(GO) test -count=1 -run 'TestFilterBackendsMatrix|TestBackendAblationGolden|TestBackendScaleSweepQuick' ./internal/experiments
 
 # perfbench-test vets the benchmark module and runs its own tests (about
 # 5 s): the tracing decorators must stay transparent to the simulator's
@@ -144,12 +136,12 @@ perfbench-test:
 # the full suite under the race detector, then sim/live parity, the
 # chaos suite, the mesh churn controller, a fuzz smoke pass over the
 # wire decoders, the engine state machine, the TCBF differential model,
-# and the cross-backend filter conformance suite, the golden-CSV
-# comparisons, the filter-backend ablation smoke, a benchmark smoke
-# run, and the benchmark module's vet and tests. The livenode
+# and the partitioned-TCBF conformance suite, the golden-CSV
+# comparisons, a benchmark smoke run, and the benchmark module's vet
+# and tests. The livenode
 # session adapter and the mesh daemon are concurrent; never ship them
 # unraced.
-check: fmt-check vet vet-shadow lint determinism race parity chaos chaos-mesh fuzz golden ablation-smoke bench-smoke perfbench-test
+check: fmt-check vet vet-shadow lint determinism race parity chaos chaos-mesh fuzz golden bench-smoke perfbench-test
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...

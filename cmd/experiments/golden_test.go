@@ -24,11 +24,14 @@ import (
 // synthetic Poisson processes. Delivery-ratio deltas stay within ~3%
 // (most cells under 2%) and every qualitative trend the figures assert —
 // PUSH > B-SUB > PULL delivery, delay orderings, DF sensitivity — is
-// unchanged.
+// unchanged. The seven ablation grids (ablation-1.csv … ablation-7.csv:
+// merge, decay, copy limit, election thresholds, geometry, DF policy,
+// relay partitions) are pinned the same way.
 // Regenerate with:
 //
 //	go run ./cmd/experiments -run fig7 -seed 1 -quick -csv cmd/experiments/testdata
 //	go run ./cmd/experiments -run fig9 -seed 1 -quick -csv cmd/experiments/testdata
+//	go run ./cmd/experiments -run ablation -seed 1 -quick -csv cmd/experiments/testdata
 func TestGoldenCSVs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick-mode simulations still take a few seconds")
@@ -48,8 +51,12 @@ func TestGoldenCSVs(t *testing.T) {
 	files := map[string][]string{
 		"fig7": {"fig7.csv"},
 		"fig9": {"fig9-haggle.csv", "fig9-mit.csv"},
+		"ablation": {
+			"ablation-1.csv", "ablation-2.csv", "ablation-3.csv", "ablation-4.csv",
+			"ablation-5.csv", "ablation-6.csv", "ablation-7.csv",
+		},
 	}
-	for _, artifact := range []string{"fig7", "fig9"} {
+	for _, artifact := range []string{"fig7", "fig9", "ablation"} {
 		artifact := artifact
 		t.Run(artifact, func(t *testing.T) {
 			if err := runArtifact(artifact, 1, true, dir); err != nil {

@@ -234,7 +234,7 @@ func runArtifact(name string, seed int64, quick bool, csvDir string) error {
 			}
 			fmt.Println()
 		}
-		return backendAblation(seed, quick, csvDir)
+		return nil
 
 	case "scale":
 		sizes := experiments.DefaultScaleSizes
@@ -254,53 +254,6 @@ func runArtifact(name string, seed int64, quick bool, csvDir string) error {
 			"Scale sweep: B-SUB over streamed traces (ROADMAP item 1)", points)
 	}
 	return fmt.Errorf("unknown artifact %q", name)
-}
-
-// backendAblation runs the filter-backend matrix (ISSUE 9): every
-// backend over the fig7 and fig9 traces at a fixed TTL, then over the
-// streamed 10k-node population, emitting the grid as CSV.
-func backendAblation(seed int64, quick bool, csvDir string) error {
-	ttl := 8 * time.Hour
-	if quick {
-		ttl = 4 * time.Hour
-	}
-	var rows []experiments.BackendTraceRow
-	for _, which := range []string{"haggle", "mit"} {
-		f, err := fixture(which, seed, quick)
-		if err != nil {
-			return err
-		}
-		results, err := experiments.AblateFilterBackends(f, ttl)
-		if err != nil {
-			return err
-		}
-		rows = append(rows, experiments.BackendTraceRows(which, ttl, results)...)
-		if err := experiments.WriteAblation(os.Stdout,
-			fmt.Sprintf("ablation: filter backend on %s (ISSUE 9)", f.Name), results); err != nil {
-			return err
-		}
-		fmt.Println()
-	}
-	if err := writeCSV(csvDir, "ablation-backends.csv", func(w io.Writer) error {
-		return experiments.WriteBackendAblationCSV(w, rows)
-	}); err != nil {
-		return err
-	}
-
-	nodes := 10_000
-	if quick {
-		nodes = 1_000
-	}
-	points, err := experiments.BackendScaleSweep(nodes, runtime.GOMAXPROCS(0), seed)
-	if err != nil {
-		return err
-	}
-	if err := experiments.WriteBackendScale(os.Stdout,
-		fmt.Sprintf("ablation: filter backend at %d streamed nodes", nodes), points); err != nil {
-		return err
-	}
-	fmt.Println()
-	return nil
 }
 
 func fixture(which string, seed int64, quick bool) (*experiments.Fixture, error) {

@@ -24,8 +24,8 @@ import (
 	"time"
 
 	"bsub/internal/engine"
-	"bsub/internal/filter"
 	"bsub/internal/sim"
+	"bsub/internal/tcbf"
 	"bsub/internal/trace"
 	"bsub/internal/workload"
 )
@@ -385,7 +385,7 @@ func (p *BSub) MeanBrokerFraction() float64 {
 
 // RelayFilter returns node id's relay filter, or nil for non-brokers.
 // Callers must not mutate it.
-func (p *BSub) RelayFilter(id trace.NodeID) filter.Filter { return p.nodes[id].eng.Relay() }
+func (p *BSub) RelayFilter(id trace.NodeID) *tcbf.Partitioned { return p.nodes[id].eng.Relay() }
 
 // Engine returns node id's protocol engine, for white-box tests (notably
 // the sim/live parity test). Callers must not mutate it.

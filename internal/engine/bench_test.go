@@ -5,16 +5,14 @@ import (
 	"testing"
 	"time"
 
-	"bsub/internal/filter"
 	"bsub/internal/workload"
 )
 
 // contactCase is one variant of the engine contact cycle shared by
 // BenchmarkEngineContact and TestContactAllocationFree.
 type contactCase struct {
-	name    string
-	mode    BrokerMergeMode
-	backend filter.Backend // nil = the default packed TCBF
+	name string
+	mode BrokerMergeMode
 	// dense makes the left node a plain user carrying a Haggle-shaped
 	// election history — 78 peers met and 25 brokers sighted inside the
 	// window — so the contact runs the user's census, genuine propagation
@@ -23,13 +21,11 @@ type contactCase struct {
 }
 
 // contactCases lists the variants. mmerge and amerge are the baseline
-// rows of DESIGN.md §8: broker-broker contacts in both merge modes on the
-// default packed TCBF. The retouched backend runs the same contact;
-// dense is the mixed-role Haggle shape.
+// rows of DESIGN.md §8: broker-broker contacts in both merge modes; dense
+// is the mixed-role Haggle shape.
 var contactCases = []contactCase{
 	{name: "mmerge", mode: BrokerMergeMax},
 	{name: "amerge", mode: BrokerMergeAdditive},
-	{name: "retouched", mode: BrokerMergeMax, backend: filter.Retouched{}},
 	{name: "dense", mode: BrokerMergeMax, dense: true},
 }
 
@@ -46,7 +42,6 @@ func newContactRig(tb testing.TB, c contactCase) (contact, reseed func()) {
 	now := time.Hour
 	cfg := DefaultConfig(0.01)
 	cfg.BrokerMerge = c.mode
-	cfg.Backend = c.backend
 	left, err := NewNode(1, cfg, ttl)
 	if err != nil {
 		tb.Fatal(err)

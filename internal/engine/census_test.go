@@ -195,13 +195,13 @@ func TestWindowedCensusMatchesFullScan(t *testing.T) {
 }
 
 // TestNodeSizeClass pins the per-node footprint the million-node simulator
-// depends on: Node stays in the 320-byte allocation class. Growing it shows
+// depends on: Node stays in the 288-byte allocation class. Growing it shows
 // up as RSS per node. (msgstore's TestCopySizeClass pins a message copy.)
 func TestNodeSizeClass(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit platforms")
 	}
-	if got := unsafe.Sizeof(Node{}); got > 320 {
-		t.Errorf("unsafe.Sizeof(Node{}) = %d, want <= 320", got)
+	if got := unsafe.Sizeof(Node{}); got > 288 {
+		t.Errorf("unsafe.Sizeof(Node{}) = %d, want <= 288", got)
 	}
 }

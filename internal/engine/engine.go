@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"time"
 
-	"bsub/internal/filter"
 	"bsub/internal/tcbf"
 )
 
@@ -79,12 +78,6 @@ type Config struct {
 	// control bytes. Zero or one means a single filter (the paper's
 	// evaluation setting).
 	RelayPartitions int
-	// Backend selects the relay-filter implementation behind the
-	// internal/filter seam. Nil means filter.Default (the paper's packed
-	// partitioned TCBF). Backends must be comparable value types: two
-	// engines share contact scratch arenas only when their backends are
-	// equal.
-	Backend filter.Backend
 }
 
 // DFMode selects the decaying-factor policy.
@@ -156,24 +149,12 @@ func (c Config) Validate() error {
 	case c.RelayPartitions < 0 || c.RelayPartitions > 255:
 		return fmt.Errorf("engine: relay partitions must be in [0,255], got %d", c.RelayPartitions)
 	}
-	// Geometry validation is enforced at the filter seam: whatever backend
-	// is configured must accept the filter geometry before any engine
-	// state is built on it.
-	if err := c.backend().Validate(c.FilterConfig(), c.partitions()); err != nil {
+	// The TCBF checks its own geometry too, so a config that passes here
+	// never reaches a filter constructor that would reject it.
+	if err := c.FilterConfig().Validate(); err != nil {
 		return fmt.Errorf("engine: %w", err)
 	}
 	return nil
-}
-
-// backend normalizes the configured filter backend (nil means the packed
-// TCBF default).
-//
-//bsub:hotpath
-func (c Config) backend() filter.Backend {
-	if c.Backend == nil {
-		return filter.Default
-	}
-	return c.Backend
 }
 
 // FilterConfig returns the per-filter TCBF geometry the protocol runs on.

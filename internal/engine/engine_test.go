@@ -4,7 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"bsub/internal/filter"
+	"bsub/internal/tcbf"
 	"bsub/internal/workload"
 )
 
@@ -211,7 +211,7 @@ func TestRetuneDFFeedbackDirection(t *testing.T) {
 	n.Promote(0)
 
 	// Saturate the relay filter well past the target FPR.
-	genuine := filter.MustNew(filter.Packed{}, cfg.FilterConfig(), 1, 0)
+	genuine := tcbf.MustNewPartitioned(cfg.FilterConfig(), 1, 0)
 	for _, k := range workload.NewTrendKeySet().Keys() {
 		if err := genuine.Insert(k, 0); err != nil {
 			t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"bsub/internal/filter"
 	"bsub/internal/tcbf"
 	"bsub/internal/workload"
 )
@@ -19,7 +18,7 @@ func freshEncodings(t *testing.T, n *Node, now time.Duration) (genuine, interest
 	for _, k := range n.interests {
 		pre = append(pre, tcbf.Precompute(k))
 	}
-	g := filter.MustNew(n.cfg.backend(), n.fcfg, n.cfg.partitions(), now)
+	g := tcbf.MustNewPartitioned(n.fcfg, n.cfg.partitions(), now)
 	if err := g.InsertAllPre(pre, now); err != nil {
 		t.Fatal(err)
 	}
@@ -54,23 +53,22 @@ func outs(t *testing.T, n *Node, c *SessionCache, now time.Duration) (genuine, i
 }
 
 // TestEncodingMemoConformance pins the interest-encoding memo to the
-// encodings it replaces, for every backend of the filter matrix: a
+// encodings it replaces, on a partitioned and a single relay filter: a
 // single-key node's memoized GenuineOut/InterestOut bytes equal a freshly
 // built encoding at any time, across nodes and keys sharing one cache,
 // and stay unchanged while later contacts reuse the arena — including
 // steps that decode peer filters into the same scratch slots.
 func TestEncodingMemoConformance(t *testing.T) {
 	for _, b := range []struct {
-		name    string
-		backend filter.Backend
+		name       string
+		partitions int
 	}{
-		{"packed", nil},
-		{"retouched", filter.Retouched{}},
+		{"packed", 2},
+		{"single", 1},
 	} {
 		t.Run(b.name, func(t *testing.T) {
 			cfg := DefaultConfig(0.1)
-			cfg.Backend = b.backend
-			cfg.RelayPartitions = 2
+			cfg.RelayPartitions = b.partitions
 			cache := NewSessionCache()
 			keys := []workload.Key{"news", "sports", "weather"}
 			var nodes []*Node

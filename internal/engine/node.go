@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"bsub/internal/analysis"
-	"bsub/internal/filter"
 	"bsub/internal/msgstore"
 	"bsub/internal/tcbf"
 	"bsub/internal/workload"
@@ -77,10 +76,9 @@ type Node struct {
 	sightWide bool
 	sightSum  int32
 
-	// relay is the broker's relay filter, built by the configured
-	// internal/filter backend (the default is the Section VI-D
-	// partitioned TCBF); nil for plain users.
-	relay filter.Filter
+	// relay is the broker's relay filter, the Section VI-D partitioned
+	// TCBF; nil for plain users.
+	relay *tcbf.Partitioned
 
 	// produced holds the node's own messages with their remaining
 	// replication budget; carried holds broker-relayed copies. Both are
@@ -246,7 +244,7 @@ func (n *Node) IsBroker() bool { return n.broker }
 
 // Relay returns the node's relay filter, or nil for non-brokers. Callers
 // must not mutate it.
-func (n *Node) Relay() filter.Filter { return n.relay }
+func (n *Node) Relay() *tcbf.Partitioned { return n.relay }
 
 // RelayDF returns the decaying factor currently in effect on the relay
 // filter, or zero for non-brokers.
@@ -267,7 +265,7 @@ func (n *Node) Promote(now time.Duration) {
 		return
 	}
 	n.broker = true
-	n.relay = filter.MustNew(n.cfg.backend(), n.fcfg, n.cfg.partitions(), now)
+	n.relay = tcbf.MustNewPartitioned(n.fcfg, n.cfg.partitions(), now)
 }
 
 // Demote returns the node to plain-user duty. Carried copies remain until

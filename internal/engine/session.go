@@ -5,7 +5,6 @@ import (
 	"slices"
 	"time"
 
-	"bsub/internal/filter"
 	"bsub/internal/msgstore"
 	"bsub/internal/tcbf"
 	"bsub/internal/workload"
@@ -92,8 +91,8 @@ type Session struct {
 	// keys off; relay/peerRelay are the filters pinned for this contact.
 	selfBroker bool
 	peerBroker bool
-	relay      filter.Filter
-	peerRelay  filter.Filter // points at peerRelayBuf once set
+	relay      *tcbf.Partitioned
+	peerRelay  *tcbf.Partitioned // points at peerRelayBuf once set
 
 	claims   []*Claim
 	poisoned bool
@@ -105,11 +104,11 @@ type Session struct {
 	// peer state lives in its own filter so one step cannot clobber state a
 	// later step still reads (SetPeerRelay's decode must survive until
 	// ForwardCandidates/MergeRelay, which may interleave with the pulls).
-	peerRelayBuf filter.Filter // SetPeerRelay decode target
-	genuineBuf   filter.Filter // GenuineOut build / AbsorbGenuine decode
-	advertBuf    filter.Filter // ReplicationMatches decode target
-	interestBuf  *tcbf.Filter  // InterestOut build (protocol-fixed plain BF)
-	deliveryBuf  *tcbf.Filter  // DeliveryMatches decode target
+	peerRelayBuf *tcbf.Partitioned // SetPeerRelay decode target
+	genuineBuf   *tcbf.Partitioned // GenuineOut build / AbsorbGenuine decode
+	advertBuf    *tcbf.Partitioned // ReplicationMatches decode target
+	interestBuf  *tcbf.Filter      // InterestOut build (protocol-fixed plain BF)
+	deliveryBuf  *tcbf.Filter      // DeliveryMatches decode target
 
 	relayEnc    []byte
 	genuineEnc  []byte
@@ -184,14 +183,13 @@ func (n *Node) BeginContact(c *SessionCache, budget Budget, now time.Duration) *
 type arenaGeometry struct {
 	fcfg       tcbf.Config
 	partitions int
-	backend    filter.Backend
 }
 
 // arenaGeometry returns the geometry an arena serving n must be built for.
 //
 //bsub:hotpath
 func (n *Node) arenaGeometry() arenaGeometry {
-	return arenaGeometry{fcfg: n.fcfg, partitions: n.cfg.partitions(), backend: n.cfg.backend()}
+	return arenaGeometry{fcfg: n.fcfg, partitions: n.cfg.partitions()}
 }
 
 // dropArena discards geometry-dependent scratch state — the scratch
@@ -318,12 +316,12 @@ func (s *Session) ratchet() {
 	}
 }
 
-// scratchRelay lazily builds the backend scratch filter in slot.
+// scratchRelay lazily builds the partitioned scratch filter in slot.
 //
 //bsub:coldpath
-func (s *Session) scratchRelay(slot *filter.Filter) filter.Filter {
+func (s *Session) scratchRelay(slot **tcbf.Partitioned) *tcbf.Partitioned {
 	if *slot == nil {
-		*slot = filter.MustNew(s.n.cfg.backend(), s.n.fcfg, s.n.cfg.partitions(), s.now)
+		*slot = tcbf.MustNewPartitioned(s.n.fcfg, s.n.cfg.partitions(), s.now)
 	}
 	return *slot
 }
@@ -432,7 +430,7 @@ func (s *Session) Apply(own, peer Action) {
 		if s.relay == nil {
 			// Demoted by a concurrent session after our hello: run the
 			// contact as announced against a throwaway filter.
-			s.relay = filter.MustNew(s.n.cfg.backend(), s.n.fcfg, s.n.cfg.partitions(), s.now)
+			s.relay = tcbf.MustNewPartitioned(s.n.fcfg, s.n.cfg.partitions(), s.now)
 		}
 	}
 }
@@ -479,7 +477,7 @@ func (s *Session) GenuineOut() ([]byte, error) {
 }
 
 // interestEncoder is what GenuineOut and InterestOut need of their scratch
-// filters: a backend filter and a plain TCBF respectively.
+// filters: a partitioned TCBF and a plain TCBF respectively.
 type interestEncoder interface {
 	Reset(now time.Duration)
 	InsertAllPre(keys []tcbf.PreKey, now time.Duration) error
@@ -594,7 +592,7 @@ func (s *Session) ForwardCandidates() ([]Forward, error) {
 	for _, e := range s.n.carried.Live(s.now) {
 		best, ok := 0.0, false
 		for _, k := range e.Pre {
-			pref, err := s.relay.PreferencePre(k, s.peerRelay, s.now)
+			pref, err := tcbf.PreferencePartitionedPre(k, s.peerRelay, s.relay, s.now)
 			if err != nil {
 				return nil, err
 			}

@@ -3,22 +3,18 @@ package filtertest
 import (
 	"math/rand"
 	"testing"
-
-	"bsub/internal/filter"
 )
 
-// Subjects is the backend matrix under conformance: the packed TCBF
-// default (single and multi-partition) and the retouched decorator, whose
-// low fill bound forces clearing inside short tapes.
+// subjects is the partition matrix under conformance: the paper's single
+// relay filter and a Section VI-D partitioned one.
 func subjects() []Subject {
 	return []Subject{
-		{Name: "tcbf", Backend: filter.Packed{}, Partitions: 1},
-		{Name: "tcbf-part3", Backend: filter.Packed{}, Partitions: 3},
-		{Name: "retouched", Backend: filter.Retouched{MaxFill: 0.12}, Partitions: 1},
+		{Name: "tcbf", Partitions: 1},
+		{Name: "tcbf-part3", Partitions: 3},
 	}
 }
 
-// TestFilterConformance drives every backend through random op tapes in
+// TestFilterConformance drives every subject through random op tapes in
 // lockstep with the key-level reference model; it runs under -race in
 // make check.
 func TestFilterConformance(t *testing.T) {
@@ -36,18 +32,17 @@ func TestFilterConformance(t *testing.T) {
 }
 
 // FuzzFilterModel hands the conformance interpreter to the fuzzer: the
-// first tape byte picks the backend (modulo the subject count: 0 and 3
-// select tcbf, 1 and 4 tcbf-part3, 2 retouched), the rest is the op
-// tape, and any input on which a backend violates its declared laws is
-// a real bug.
+// first tape byte picks the partition count (even bytes select tcbf, one
+// partition; odd bytes tcbf-part3, three), the rest is the op tape, and
+// any input on which the filter violates a law is a real bug.
 func FuzzFilterModel(f *testing.F) {
-	f.Add([]byte{0, 0, 1, 1, 2, 3, 0, 5, 1, 7, 2})               // insert, merge, query, wire
-	f.Add([]byte{2, 0, 0, 2, 90, 6, 0, 4, 0, 6, 0})              // retouched: decay then M-merge
-	f.Add([]byte{3, 0, 3, 8, 16, 2, 200, 5, 3, 7, 0, 9, 0})      // tcbf: DF retune, burst
-	f.Add([]byte{4, 1, 5, 3, 0, 0, 5, 8, 4, 1, 7, 4, 0, 2, 30})  // tcbf-part3: merged-insert path
-	f.Add([]byte{1, 0, 1, 1, 1, 9, 0, 6, 1, 9, 0, 6, 1, 2, 255}) // partitions: saturation, decay
-	f.Add([]byte{3, 0, 0, 10, 1, 5, 0, 10, 255, 6, 0, 11, 3})    // tcbf: sub-tick carry + monotonicity
-	f.Add([]byte{4, 9, 0, 9, 1, 9, 2, 9, 3, 7, 0, 5, 0})         // tcbf-part3: burst, wire
+	f.Add([]byte{0, 0, 1, 1, 2, 3, 0, 5, 1, 7, 2})               // tcbf: insert, merge, query, wire
+	f.Add([]byte{2, 0, 0, 2, 90, 6, 0, 4, 0, 6, 0})              // tcbf: decay then M-merge
+	f.Add([]byte{3, 0, 3, 8, 16, 2, 200, 5, 3, 7, 0, 9, 0})      // tcbf-part3: DF retune, burst
+	f.Add([]byte{4, 1, 5, 3, 0, 0, 5, 8, 4, 1, 7, 4, 0, 2, 30})  // tcbf: merged-insert path
+	f.Add([]byte{1, 0, 1, 1, 1, 9, 0, 6, 1, 9, 0, 6, 1, 2, 255}) // tcbf-part3: saturation, decay
+	f.Add([]byte{3, 0, 0, 10, 1, 5, 0, 10, 255, 6, 0, 11, 3})    // tcbf-part3: sub-tick carry + monotonicity
+	f.Add([]byte{4, 9, 0, 9, 1, 9, 2, 9, 3, 7, 0, 5, 0})         // tcbf: burst, wire
 	f.Fuzz(func(t *testing.T, tape []byte) {
 		if len(tape) < 1 {
 			t.Skip("empty tape")

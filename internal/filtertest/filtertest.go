@@ -1,7 +1,8 @@
-// Package filtertest is the differential conformance harness for
-// implementations of the internal/filter seam. It generalizes the TCBF's
-// map-of-counters reference model (internal/tcbf's model test) from one
-// concrete filter to *any* backend: a deliberately naive key-level model
+// Package filtertest is the differential conformance harness for the
+// relay filter the engine holds, the packed partitioned TCBF
+// (*tcbf.Partitioned). It lifts the TCBF's map-of-counters reference
+// model (internal/tcbf's model test) from positions to keys and from one
+// filter to a partitioned one: a deliberately naive key-level model
 // tracks every key's membership strength in integer ticks — insert
 // adopts the filter's own observed post-insert minimum counter (the one
 // commitment a Bloom-family insert makes: collider-held positions are
@@ -9,19 +10,16 @@
 // lifetime, while an uncovered key gets exactly 1024 ticks), decay
 // erodes whole ticks eagerly with a nanosecond remainder, A-merge
 // saturate-adds, M-merge takes the max — and a randomized op tape drives
-// a backend pair and the model pair in lockstep, checking after every op
-// exactly the guarantees the backend's filter.Laws declaration claims:
+// a filter pair and the model pair in lockstep, checking after every op:
 //
-//   - NoFalseNegatives: a key whose true counter is still comfortably
+//   - no false negatives: a key whose true counter is still comfortably
 //     positive must be reported present.
-//   - BoundedFalseNegatives: a false negative is allowed only for keys
-//     whose true counter is at or below the backend's advertised Cutoff.
-//   - ExactCounters: on keys proven collision-free (by set-bit
-//     additivity probing through the backend's own API), MinCounter must
+//   - exact counters: on keys proven collision-free (by set-bit
+//     additivity probing through the filter's own API), MinCounter must
 //     equal the model tick-for-tick, and the preferential query must
 //     equal the Section IV-A formula on model counters.
 //
-// Every backend is also held to the invariants no backend relaxes:
+// The filter is also held to the structural invariants:
 // insert must fail with tcbf.ErrMerged exactly when the model is merged;
 // MinCounter must be positive exactly when Contains is true; merges
 // commute; and Encode→DecodeInto must reproduce membership exactly and
@@ -46,7 +44,6 @@ import (
 	"testing"
 	"time"
 
-	"bsub/internal/filter"
 	"bsub/internal/tcbf"
 )
 
@@ -77,8 +74,7 @@ func refTickNanos(initial, perMinute float64) int64 {
 
 // refModel is the key-level reference: each key's true counter assuming
 // no hash collisions ever happen. Filters can only look better than this
-// (collisions inflate counters), never worse — except where a backend's
-// Laws explicitly trade that away.
+// (collisions inflate counters), never worse.
 type refModel struct {
 	cfg       tcbf.Config
 	c         map[string]uint32 // key → counter ticks
@@ -206,16 +202,16 @@ var Keys = []string{
 }
 
 // IsolatedKeys returns the subset of Keys sharing no filter position with
-// any other universe key, probed through the backend geometry's own
-// set-bit accounting: a fresh packed filter holding every key except k
-// gains exactly k's solo set-bit count when k is added iff k's positions
-// are untouched by the rest. Only on these keys can a backend be held to
-// exact counter equality with the key-level model.
+// any other universe key, probed through the filter's own set-bit
+// accounting: a fresh filter holding every key except k gains exactly k's
+// solo set-bit count when k is added iff k's positions are untouched by
+// the rest. Only on these keys can the filter be held to exact counter
+// equality with the key-level model.
 func IsolatedKeys(t *testing.T, cfg tcbf.Config, partitions int) map[string]bool {
 	t.Helper()
 	solo := make(map[string]int, len(Keys))
 	for _, k := range Keys {
-		f := filter.MustNew(filter.Packed{}, cfg, partitions, 0)
+		f := tcbf.MustNewPartitioned(cfg, partitions, 0)
 		if err := f.Insert(k, 0); err != nil {
 			t.Fatalf("isolation probe insert %q: %v", k, err)
 		}
@@ -223,7 +219,7 @@ func IsolatedKeys(t *testing.T, cfg tcbf.Config, partitions int) map[string]bool
 	}
 	isolated := make(map[string]bool)
 	for _, k := range Keys {
-		f := filter.MustNew(filter.Packed{}, cfg, partitions, 0)
+		f := tcbf.MustNewPartitioned(cfg, partitions, 0)
 		for _, other := range Keys {
 			if other != k {
 				if err := f.Insert(other, 0); err != nil {
@@ -242,26 +238,20 @@ func IsolatedKeys(t *testing.T, cfg tcbf.Config, partitions int) map[string]bool
 	return isolated
 }
 
-// cutoffer is the optional interface a BoundedFalseNegatives backend
-// exposes for its false-negative bound.
-type cutoffer interface{ Cutoff() float64 }
-
-// Subject names one backend configuration under conformance test.
+// Subject names one partition count under conformance test.
 type Subject struct {
 	Name       string
-	Backend    filter.Backend
 	Partitions int
 }
 
-// state drives one backend pair and one model pair in lockstep.
+// state drives one filter pair and one model pair in lockstep.
 type state struct {
 	t        *testing.T
 	sub      Subject
-	laws     filter.Laws
 	cfg      tcbf.Config
 	quantum  float64
-	f1, f2   filter.Filter
-	scratch  filter.Filter
+	f1, f2   *tcbf.Partitioned
+	scratch  *tcbf.Partitioned
 	r1, r2   *refModel
 	isolated map[string]bool
 	now      time.Duration
@@ -269,28 +259,24 @@ type state struct {
 
 func newState(t *testing.T, sub Subject, cfg tcbf.Config) *state {
 	t.Helper()
-	st := &state{
-		t:       t,
-		sub:     sub,
-		laws:    sub.Backend.Laws(),
-		cfg:     cfg,
-		quantum: cfg.Initial / refInitTicks,
-		f1:      filter.MustNew(sub.Backend, cfg, sub.Partitions, 0),
-		f2:      filter.MustNew(sub.Backend, cfg, sub.Partitions, 0),
-		scratch: filter.MustNew(sub.Backend, cfg, sub.Partitions, 0),
-		r1:      newRefModel(cfg, 0),
-		r2:      newRefModel(cfg, 0),
+	return &state{
+		t:        t,
+		sub:      sub,
+		cfg:      cfg,
+		quantum:  cfg.Initial / refInitTicks,
+		f1:       tcbf.MustNewPartitioned(cfg, sub.Partitions, 0),
+		f2:       tcbf.MustNewPartitioned(cfg, sub.Partitions, 0),
+		scratch:  tcbf.MustNewPartitioned(cfg, sub.Partitions, 0),
+		r1:       newRefModel(cfg, 0),
+		r2:       newRefModel(cfg, 0),
+		isolated: IsolatedKeys(t, cfg, sub.Partitions),
 	}
-	if st.laws.ExactCounters {
-		st.isolated = IsolatedKeys(t, cfg, sub.Partitions)
-	}
-	return st
 }
 
-// fail reports a law violation, naming the backend and the property.
+// fail reports a law violation, naming the subject and the property.
 func (st *state) fail(property, format string, args ...any) {
 	st.t.Helper()
-	st.t.Fatalf("backend=%s property=%s: "+format,
+	st.t.Fatalf("subject=%s property=%s: "+format,
 		append([]any{st.sub.Name, property}, args...)...)
 }
 
@@ -303,8 +289,8 @@ func (st *state) fail(property, format string, args ...any) {
 // retune boundary without masking a lost key.
 func (st *state) slack() float64 { return st.quantum }
 
-// checkKey holds one filter/model pair to the declared laws for one key.
-func (st *state) checkKey(tag, name string, f filter.Filter, r *refModel, key string) {
+// checkKey holds one filter/model pair to the laws for one key.
+func (st *state) checkKey(tag, name string, f *tcbf.Partitioned, r *refModel, key string) {
 	st.t.Helper()
 	pre := tcbf.Precompute(key)
 	has, err := f.ContainsPre(pre, st.now)
@@ -320,24 +306,11 @@ func (st *state) checkKey(tag, name string, f filter.Filter, r *refModel, key st
 			"%s: %s key %q: MinCounter %v but Contains %v", tag, name, key, minC, has)
 	}
 	ref := r.counter(key, st.now)
-	if !has && ref > 0 {
-		switch {
-		case st.laws.NoFalseNegatives && ref > st.slack():
-			st.fail("no-false-negatives",
-				"%s: %s key %q absent with true counter %v", tag, name, key, ref)
-		case st.laws.BoundedFalseNegatives:
-			bound := st.slack()
-			if c, ok := f.(cutoffer); ok {
-				bound += c.Cutoff()
-			}
-			if ref > bound {
-				st.fail("bounded-false-negatives",
-					"%s: %s key %q absent with true counter %v above cutoff bound %v",
-					tag, name, key, ref, bound)
-			}
-		}
+	if !has && ref > st.slack() {
+		st.fail("no-false-negatives",
+			"%s: %s key %q absent with true counter %v", tag, name, key, ref)
 	}
-	if st.laws.ExactCounters && st.isolated[key] && minC != ref {
+	if st.isolated[key] && minC != ref {
 		st.fail("exact-counters",
 			"%s: %s key %q min counter %v, model %v", tag, name, key, minC, ref)
 	}
@@ -384,7 +357,7 @@ func (st *state) step(op, arg byte) {
 				if err != nil {
 					st.fail("query", "min counter after insert %q: %v", k, err)
 				}
-				if st.laws.NoFalseNegatives && minC <= 0 {
+				if minC <= 0 {
 					st.fail("no-false-negatives",
 						"key %q absent immediately after insert", k)
 				}
@@ -422,11 +395,11 @@ func (st *state) step(op, arg byte) {
 				"contains %q = %v / pre %v / any %v", key, got, gotPre, gotAny)
 		}
 	case 6: // preferential query, f2 as peer
-		got, err := st.f1.PreferencePre(tcbf.Precompute(key), st.f2, st.now)
+		got, err := tcbf.PreferencePartitionedPre(tcbf.Precompute(key), st.f2, st.f1, st.now)
 		if err != nil {
 			st.fail("preference", "preference %q: %v", key, err)
 		}
-		if st.laws.ExactCounters && st.isolated[key] {
+		if st.isolated[key] {
 			peer := st.r2.counter(key, st.now)
 			self := st.r1.counter(key, st.now)
 			want := peer
@@ -563,7 +536,7 @@ func DefaultConfig() tcbf.Config {
 }
 
 // RunTape interprets a byte tape as (op, arg) pairs against one subject,
-// failing the test on any divergence from the declared laws.
+// failing the test on any divergence from the laws.
 func RunTape(t *testing.T, sub Subject, tape []byte) {
 	t.Helper()
 	st := newState(t, sub, DefaultConfig())

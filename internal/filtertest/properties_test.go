@@ -1,40 +1,34 @@
 package filtertest
 
 import (
-	"fmt"
 	"math"
 	"testing"
 	"time"
 
-	"bsub/internal/filter"
 	"bsub/internal/tcbf"
 )
 
-// Standalone cross-backend property tests. The differential tape harness
-// (filtertest.go) checks the same contract statistically; these pin each
-// law directly, one property per test, so a violation fails with the
-// backend's name and the property on the first line.
+// Standalone property tests of the packed TCBF at each subject's
+// partition count. The differential tape harness (filtertest.go) checks
+// the same contract statistically; these pin each law directly, one
+// property per test, so a violation fails with the subject's name and the
+// property on the first line.
 
 // newSubjectFilter builds a fresh filter for a conformance subject.
-func newSubjectFilter(t *testing.T, sub Subject, now time.Duration) filter.Filter {
+func newSubjectFilter(t *testing.T, sub Subject, now time.Duration) *tcbf.Partitioned {
 	t.Helper()
-	f, err := sub.Backend.New(DefaultConfig(), sub.Partitions, now)
+	f, err := tcbf.NewPartitioned(DefaultConfig(), sub.Partitions, now)
 	if err != nil {
 		t.Fatalf("%s: New: %v", sub.Name, err)
 	}
 	return f
 }
 
-// TestPropertyNoFalseNegatives: backends declaring NoFalseNegatives must
-// report every inserted key present until decay takes its counter to
-// zero.
+// TestPropertyNoFalseNegatives: the filter must report every inserted key
+// present until decay takes its counter to zero.
 func TestPropertyNoFalseNegatives(t *testing.T) {
 	t0 := time.Hour
 	for _, sub := range subjects() {
-		laws := sub.Backend.Laws()
-		if !laws.NoFalseNegatives {
-			continue
-		}
 		t.Run(sub.Name, func(t *testing.T) {
 			f := newSubjectFilter(t, sub, t0)
 			for _, k := range Keys {
@@ -59,66 +53,7 @@ func TestPropertyNoFalseNegatives(t *testing.T) {
 	}
 }
 
-// TestPropertyBoundedFalseNegatives: backends declaring
-// BoundedFalseNegatives (the retouched decorator) may drop keys, but
-// only keys whose true collision-free counter is at or below the
-// filter's reported cutoff.
-func TestPropertyBoundedFalseNegatives(t *testing.T) {
-	t0 := time.Hour
-	ran := false
-	for _, sub := range subjects() {
-		laws := sub.Backend.Laws()
-		if !laws.BoundedFalseNegatives {
-			continue
-		}
-		ran = true
-		t.Run(sub.Name, func(t *testing.T) {
-			f := newSubjectFilter(t, sub, t0)
-			c, ok := f.(interface{ Cutoff() float64 })
-			if !ok {
-				t.Fatalf("%s: bounded-false-negatives declared but no Cutoff() accessor", sub.Name)
-			}
-			// Insert enough keys to push fill past the retouch bound so
-			// clearing actually happens; all keys share one insert time, so
-			// their true counter is Initial minus elapsed decay.
-			keys := append([]string{}, Keys...)
-			for i := 0; i < 20; i++ {
-				keys = append(keys, fmt.Sprintf("bulk-%02d", i))
-			}
-			for _, k := range keys {
-				if err := f.Insert(k, t0); err != nil {
-					t.Fatalf("%s: insert %q: %v", sub.Name, k, err)
-				}
-			}
-			now := t0 + 30*time.Second
-			trueCounter := DefaultConfig().Initial - 0.5*DefaultConfig().DecayPerMinute
-			dropped := 0
-			for _, k := range keys {
-				ok, err := f.Contains(k, now)
-				if err != nil {
-					t.Fatalf("%s: contains %q: %v", sub.Name, k, err)
-				}
-				if ok {
-					continue
-				}
-				dropped++
-				if trueCounter > c.Cutoff() {
-					t.Errorf("%s: bounded-false-negatives: key %q absent with true counter %.4g above cutoff %.4g",
-						sub.Name, k, trueCounter, c.Cutoff())
-				}
-			}
-			if dropped == 0 {
-				t.Errorf("%s: retouch bound %v never cleared a key out of %d — the bound is not being exercised",
-					sub.Name, sub.Backend, len(keys))
-			}
-		})
-	}
-	if !ran {
-		t.Fatal("no backend declares BoundedFalseNegatives; the retouched decorator is missing from the matrix")
-	}
-}
-
-// TestPropertyMergeCommutative: every backend must produce identical
+// TestPropertyMergeCommutative: the filter must produce identical
 // post-merge counter state whichever side absorbs the other, for both the
 // additive and the maximum merge.
 func TestPropertyMergeCommutative(t *testing.T) {
@@ -127,7 +62,7 @@ func TestPropertyMergeCommutative(t *testing.T) {
 		for _, mode := range []string{"amerge", "mmerge"} {
 			mode := mode
 			t.Run(sub.Name+"/"+mode, func(t *testing.T) {
-				build := func(keys []string, reps int) filter.Filter {
+				build := func(keys []string, reps int) *tcbf.Partitioned {
 					f := newSubjectFilter(t, sub, t0)
 					for r := 0; r < reps; r++ {
 						for _, k := range keys {
@@ -142,7 +77,7 @@ func TestPropertyMergeCommutative(t *testing.T) {
 				// so addition and maximum actually differ.
 				ab, ba := build(Keys[:8], 2), build(Keys[4:], 1)
 				a2, b2 := build(Keys[:8], 2), build(Keys[4:], 1)
-				merge := func(dst, src filter.Filter) error {
+				merge := func(dst, src *tcbf.Partitioned) error {
 					if mode == "amerge" {
 						return dst.AMerge(src, t0)
 					}
@@ -179,7 +114,7 @@ func TestPropertyMergeCommutative(t *testing.T) {
 }
 
 // TestPropertyWireRoundTrip: encoding and decoding must reproduce
-// membership exactly on every backend, and counters within the 1-byte
+// membership exactly at every partition count, and counters within the 1-byte
 // wire quantization (maxCounter/255 plus one clamp tick).
 func TestPropertyWireRoundTrip(t *testing.T) {
 	t0 := time.Hour

@@ -8,10 +8,10 @@ import (
 )
 
 // Determinism keeps the replayable core replayable: internal/engine,
-// internal/msgstore, internal/tcbf, internal/filter, internal/core,
-// internal/protocol, internal/trace* (the tracegen pair streams
-// included), internal/workload, internal/sim, internal/metrics, and
-// internal/xrand must not read wall clocks (time.Now
+// internal/msgstore, internal/tcbf, internal/core, internal/protocol,
+// internal/trace* (the tracegen pair streams included),
+// internal/workload, internal/sim, internal/metrics, and internal/xrand
+// must not read wall clocks (time.Now
 // and friends — time is threaded explicitly as a parameter everywhere),
 // must not draw from the global math/rand state (seeded *rand.Rand
 // generators are fine), and must not iterate a map where the body's
@@ -29,7 +29,7 @@ var Determinism = &Analyzer{
 		for _, scoped := range []string{
 			"internal/engine", "internal/msgstore", "internal/tcbf", "internal/core",
 			"internal/protocol", "internal/sim", "internal/workload", "internal/metrics",
-			"internal/xrand", "internal/filter",
+			"internal/xrand",
 		} {
 			if rel == scoped || strings.HasPrefix(rel, scoped+"/") {
 				return true

@@ -127,7 +127,7 @@ func TestDeterminismSimFixture(t *testing.T) {
 	for _, rel := range []string{
 		"internal/sim", "internal/workload", "internal/metrics",
 		"internal/xrand", "internal/tracegen",
-		"internal/filter", "internal/msgstore", "internal/protocol",
+		"internal/msgstore", "internal/protocol",
 	} {
 		if !Determinism.Applies(rel) {
 			t.Errorf("determinism must apply to %s", rel)
@@ -168,7 +168,6 @@ func TestWireErrScope(t *testing.T) {
 	// with a wire codec.
 	for _, rel := range []string{
 		"internal/livenode", "internal/tcbf", "internal/mesh",
-		"internal/filter",
 	} {
 		if !WireErr.Applies(rel) {
 			t.Errorf("wireerr must apply to %s", rel)
@@ -229,7 +228,6 @@ func TestLockOrderFixture(t *testing.T) {
 func TestWireTaintFixture(t *testing.T) {
 	for _, rel := range []string{
 		"internal/livenode", "internal/mesh", "internal/tcbf",
-		"internal/filter",
 	} {
 		if !WireTaint.Applies(rel) {
 			t.Errorf("wiretaint must apply to %s", rel)

@@ -6,8 +6,8 @@ import (
 )
 
 // WireErr forbids silently dropped errors in the wire-facing packages:
-// in internal/livenode, internal/tcbf, internal/mesh, and
-// internal/filter, any call whose result set includes an error must
+// in internal/livenode, internal/tcbf, and internal/mesh, any call
+// whose result set includes an error must
 // have that error checked or explicitly discarded with `_ =`. A frame
 // write that fails and goes unnoticed is how a severed contact turns
 // into a lost copy; the explicit-discard form documents that the drop
@@ -17,8 +17,7 @@ var WireErr = &Analyzer{
 	Name: "wireerr",
 	Doc:  "errors from frame/codec writes must be checked or explicitly discarded",
 	Applies: func(rel string) bool {
-		return underAny(rel, "internal/livenode", "internal/tcbf",
-			"internal/mesh", "internal/filter")
+		return underAny(rel, "internal/livenode", "internal/tcbf", "internal/mesh")
 	},
 	Run: runWireErr,
 }

@@ -27,8 +27,7 @@ var WireTaint = &Analyzer{
 	Name: "wiretaint",
 	Doc:  "wire-derived lengths must be validated before sizing allocations, indexing, or bounding loops",
 	Applies: func(rel string) bool {
-		return underAny(rel, "internal/livenode", "internal/mesh",
-			"internal/tcbf", "internal/filter")
+		return underAny(rel, "internal/livenode", "internal/mesh", "internal/tcbf")
 	},
 	Run: runWireTaint,
 }

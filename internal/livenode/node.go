@@ -96,7 +96,7 @@ type Config struct {
 	// (interest) filter as this node absorbs it during a contact
 	// session's genuine phase — the hook a broker-tier mesh layer uses to
 	// aggregate downstream subscriber interests (see internal/mesh). The
-	// bytes are the peer's filter-backend encoding; the callee owns them.
+	// bytes are the peer's partitioned-TCBF encoding; the callee owns them.
 	// Called from session goroutines with no node locks held.
 	OnPeerGenuine func(peer uint32, encoded []byte)
 	// GossipHandler, when set, answers inbound gossip frames: it receives

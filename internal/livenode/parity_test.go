@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"bsub/internal/core"
-	"bsub/internal/filter"
 	"bsub/internal/sim"
 	"bsub/internal/tcbf"
 	"bsub/internal/trace"
@@ -218,7 +217,7 @@ func liveSnapDelivered(n *Node) []int {
 func snapshotEngine(t *testing.T, simSide *core.BSub, liveNode *Node, fromSim bool) engineSnapshot {
 	t.Helper()
 	var snap engineSnapshot
-	var relay filter.Filter
+	var relay *tcbf.Partitioned
 	if fromSim {
 		id := trace.NodeID(liveNode.cfg.ID)
 		snap.Broker = simSide.IsBroker(id)

@@ -19,8 +19,9 @@ import (
 // contact scheduler, which still visits every live peer each
 // ContactInterval, so a stale or missing entry can only delay delivery,
 // never lose it. Peers whose interest encoding cannot be decoded as a
-// packed partitioned TCBF (a mesh running a non-default filter backend)
-// are kept as opaque entries and always included in flood targeting.
+// packed partitioned TCBF of this mesh's geometry (another wire format or
+// bit-vector length) are kept as opaque entries and always included in
+// flood targeting.
 //
 // interestIndex has its own mutex; nothing blocking runs under it, and it
 // is never held together with Mesh.mu.

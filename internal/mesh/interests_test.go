@@ -59,8 +59,8 @@ func TestInterestIndexOpaquePeer(t *testing.T) {
 	now := time.Hour
 	ix := newInterestIndex(cfg)
 
-	// A peer running a different filter backend hands over bytes this
-	// index cannot decode; it must be kept and always flooded.
+	// A peer configured with another filter geometry hands over bytes
+	// this index cannot decode; it must be kept and always flooded.
 	ix.observe(3, []byte{0xDE, 0xAD}, now)
 	ix.observe(7, encodeInterest(t, cfg, 1, []string{"news"}, now), now)
 

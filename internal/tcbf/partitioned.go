@@ -275,23 +275,6 @@ func PreferencePartitionedPre(k PreKey, peer, self *Partitioned, now time.Durati
 	return PreferencePre(k, peer.parts[i], self.parts[i], now)
 }
 
-// Retouch applies Filter.Retouch to every partition with the same fill
-// bound and returns the largest counter value cleared anywhere — the
-// joint false-negative cutoff across partitions.
-func (p *Partitioned) Retouch(maxFill float64, now time.Duration) (float64, error) {
-	cutoff := 0.0
-	for _, f := range p.parts {
-		c, err := f.Retouch(maxFill, now)
-		if err != nil {
-			return cutoff, err
-		}
-		if c > cutoff {
-			cutoff = c
-		}
-	}
-	return cutoff, nil
-}
-
 // Reset clears every partition to the state NewPartitioned would produce,
 // with all clocks at now; it lets a scratch partitioned filter be reused
 // across contacts instead of reallocated.

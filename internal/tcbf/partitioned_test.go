@@ -3,6 +3,7 @@ package tcbf
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -26,6 +27,69 @@ func TestNewPartitionedValidation(t *testing.T) {
 	}
 	if p.Partitions() != 4 {
 		t.Errorf("partitions = %d", p.Partitions())
+	}
+}
+
+// TestNewPartitionedBrokenConfigs pins the constructor every relay and
+// scratch filter is built through: each broken geometry or partition
+// count is refused with an error naming the offending parameter, and
+// MustNewPartitioned panics on the same input.
+func TestNewPartitionedBrokenConfigs(t *testing.T) {
+	valid := testConfig()
+	cases := []struct {
+		name       string
+		cfg        Config
+		partitions int
+		wantErr    string // substring the error must carry
+	}{
+		{"zero-m", Config{M: 0, K: 4, Initial: 10}, 1, "bit-vector length"},
+		{"negative-m", Config{M: -8, K: 4, Initial: 10}, 1, "bit-vector length"},
+		{"zero-k", Config{M: 256, K: 0, Initial: 10}, 1, "hash count"},
+		{"zero-initial", Config{M: 256, K: 4}, 1, "initial counter"},
+		{"negative-decay", Config{M: 256, K: 4, Initial: 10, DecayPerMinute: -1}, 1, "decay factor"},
+		{"zero-partitions", valid, 0, "partition count"},
+		{"too-many-partitions", valid, 256, "partition count"},
+		{"far-too-many-partitions", valid, 300, "partition count"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := NewPartitioned(tc.cfg, tc.partitions, time.Hour)
+			if err == nil {
+				t.Fatalf("NewPartitioned accepted broken config %+v partitions=%d", tc.cfg, tc.partitions)
+			}
+			if !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("error %q does not name the problem (want %q)", err, tc.wantErr)
+			}
+			defer func() {
+				if recover() == nil {
+					t.Errorf("MustNewPartitioned did not panic on a config NewPartitioned rejects")
+				}
+			}()
+			MustNewPartitioned(tc.cfg, tc.partitions, time.Hour)
+		})
+	}
+}
+
+// TestNewPartitionedAcceptsDefaults is the positive control: the
+// evaluation geometry yields an empty filter with the requested
+// partition count.
+func TestNewPartitionedAcceptsDefaults(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		partitions int
+	}{{"one-partition", 1}, {"three-partitions", 3}} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := NewPartitioned(testConfig(), tc.partitions, time.Hour)
+			if err != nil {
+				t.Fatalf("NewPartitioned rejected the evaluation geometry: %v", err)
+			}
+			if p.Partitions() != tc.partitions {
+				t.Errorf("partitions = %d, want %d", p.Partitions(), tc.partitions)
+			}
+			if p.SetBits() != 0 {
+				t.Errorf("fresh filter has %d set bits", p.SetBits())
+			}
+		})
 	}
 }
 

@@ -94,8 +94,8 @@ func (c Config) validate() error {
 // Validate reports whether New would accept the configuration: the
 // counter scale and decay factor must be usable and the geometry must be
 // accepted by the hasher. It is exposed so higher layers — notably the
-// filter-backend seam — can reject an inconsistent configuration before
-// any filter is built or any engine state depends on it.
+// engine's Config.Validate — can reject an inconsistent configuration
+// before any filter is built or any engine state depends on it.
 func (c Config) Validate() error {
 	if err := c.validate(); err != nil {
 		return err
@@ -678,47 +678,6 @@ func (f *Filter) Clone() *Filter {
 	}
 	copy(c.words, f.words)
 	return c
-}
-
-// Retouch applies the Retouched-Bloom-Filter trade (Donnet et al.): when
-// more than maxFill of the vector is set, the set positions with the
-// lowest counters are cleared — whole counter-value classes at a time —
-// until the fill ratio is back at or below maxFill. Clearing bits converts
-// false positives into potential false negatives, but only on the keys
-// with the least remaining lifetime: a key whose minimum counter exceeds
-// every cleared value still has all of its bits set. Retouch returns the
-// largest counter value it cleared (zero when the filter was already
-// under the bound), which is exactly that false-negative cutoff.
-func (f *Filter) Retouch(maxFill float64, now time.Duration) (float64, error) {
-	if maxFill <= 0 || maxFill > 1 {
-		return 0, fmt.Errorf("tcbf: retouch fill bound %g outside (0,1]", maxFill)
-	}
-	if err := f.Advance(now); err != nil {
-		return 0, err
-	}
-	// Settle so raw lanes equal effective counters; the scans below then
-	// compare stored ticks directly.
-	f.settle()
-	target := int(maxFill * float64(f.M()))
-	cleared := uint32(0)
-	for f.SetBits() > target {
-		minT := uint32(laneMax + 1)
-		for p := 0; p < f.M(); p++ {
-			if t := f.rawTick(uint32(p)); t != 0 && t < minT {
-				minT = t
-			}
-		}
-		if minT > laneMax {
-			break
-		}
-		for p := 0; p < f.M(); p++ {
-			if t := f.rawTick(uint32(p)); t != 0 && t <= minT {
-				f.setLane(uint32(p), 0)
-			}
-		}
-		cleared = minT
-	}
-	return float64(cleared) * f.quantum, nil
 }
 
 // Reset clears all counters, pending decay, and the merged flag and sets
