@@ -55,9 +55,9 @@ func TestRunReportsPlantedFindings(t *testing.T) {
 }
 
 func TestRunAnalyzerSubsetClean(t *testing.T) {
-	// The fixture module has no livenode package, so the lockio-only run
+	// The fixture module has no livenode package, so the locks-only run
 	// comes back clean.
-	code, stdout, stderr := runIn(t, fixtureDir, "-analyzers", "lockio", "./...")
+	code, stdout, stderr := runIn(t, fixtureDir, "-analyzers", "locks", "./...")
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
 	}
@@ -71,7 +71,7 @@ func TestRunList(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0", code)
 	}
-	for _, name := range []string{"claimsettle", "hotpathalloc", "determinism", "lockio", "wireerr"} {
+	for _, name := range []string{"hotpathalloc", "determinism", "locks", "lifecycle", "wireerr"} {
 		if !strings.Contains(stdout, name) {
 			t.Errorf("-list output missing %s:\n%s", name, stdout)
 		}
@@ -137,7 +137,7 @@ func TestRunFormatJSON(t *testing.T) {
 }
 
 func TestRunFormatJSONCleanEmitsEmptyArray(t *testing.T) {
-	code, stdout, _ := runIn(t, fixtureDir, "-format", "json", "-analyzers", "lockio", "./...")
+	code, stdout, _ := runIn(t, fixtureDir, "-format", "json", "-analyzers", "locks", "./...")
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0", code)
 	}

@@ -63,6 +63,7 @@ func BenchmarkAdapterContact(b *testing.B) {
 	}{{"mmerge", BrokerMergeMax}, {"amerge", BrokerMergeAdditive}} {
 		b.Run(c.name, func(b *testing.B) {
 			_, contact, reseed := newAdapterContactRig(b, c.mode)
+			contact() // warm the arenas before timing
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

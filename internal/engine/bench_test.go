@@ -18,14 +18,21 @@ type contactCase struct {
 	// window — so the contact runs the user's census, genuine propagation
 	// and its interest pull, not the broker-broker relay exchange.
 	dense bool
+	// forward ages the right broker's relay filter by 30 minutes against
+	// the left's and skips the relay merges, so every one of the right
+	// broker's carried copies has a positive preference toward the left
+	// and preferential forwarding sorts and claims them all.
+	forward bool
 }
 
 // contactCases lists the variants. mmerge and amerge are the baseline
-// rows of DESIGN.md §8: broker-broker contacts in both merge modes; dense
-// is the mixed-role Haggle shape.
+// rows of DESIGN.md §8: broker-broker contacts in both merge modes, with
+// equal relay filters and so no forwarding; forward is the broker-broker
+// contact that forwards; dense is the mixed-role Haggle shape.
 var contactCases = []contactCase{
 	{name: "mmerge", mode: BrokerMergeMax},
 	{name: "amerge", mode: BrokerMergeAdditive},
+	{name: "forward", mode: BrokerMergeMax, forward: true},
 	{name: "dense", mode: BrokerMergeMax, dense: true},
 }
 
@@ -34,9 +41,12 @@ var contactCases = []contactCase{
 // filters the cycle's merges keep reinforcing. Both nodes subscribe to one
 // key and run at a fixed time, so the stores and histories are stationary
 // and iterations are comparable: the right node is a broker carrying 16
-// relayed copies, the left a broker whose 32 relayed interests (reinforced,
-// so forwarding has positive preferences) feed the relay exchange — or, in
-// the dense variant, a plain user with a Haggle-shaped history.
+// relayed copies, the left a broker whose 32 relayed interests feed the
+// relay exchange — or, in the dense variant, a plain user with a
+// Haggle-shaped history. Both brokers insert the same interests, and an
+// insert sets a counter to its initial value, so their relay filters are
+// equal and no copy is forwarded unless the forward variant ages the
+// right one.
 func newContactRig(tb testing.TB, c contactCase) (contact, reseed func()) {
 	const ttl = 100 * time.Hour
 	now := time.Hour
@@ -57,9 +67,13 @@ func newContactRig(tb testing.TB, c contactCase) (contact, reseed func()) {
 	for i := 0; i < 32; i++ {
 		topics = append(topics, workload.Key(fmt.Sprintf("topic-%02d", i)))
 	}
+	rightAt := now
+	if c.forward {
+		rightAt = now - 30*time.Minute
+	}
 	reseed = func() {
 		right.Demote()
-		right.Promote(now)
+		right.Promote(rightAt)
 		if !c.dense {
 			left.Demote()
 			left.Promote(now)
@@ -69,7 +83,7 @@ func newContactRig(tb testing.TB, c contactCase) (contact, reseed func()) {
 				}
 			}
 		}
-		if err := right.Relay().InsertAll(topics, now); err != nil {
+		if err := right.Relay().InsertAll(topics, rightAt); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -121,13 +135,18 @@ func newContactRig(tb testing.TB, c contactCase) (contact, reseed func()) {
 			fatal(sr.SetPeerRelay(dl))
 			cands, err := sr.ForwardCandidates()
 			fatal(err)
-			for _, c := range cands {
-				if claim, ok := sr.ClaimCarried(c.Msg.ID); claim == nil && !ok {
+			if c.forward && len(cands) < 2 {
+				tb.Fatalf("forward contact has %d candidates, want at least 2", len(cands))
+			}
+			for _, f := range cands {
+				if claim, ok := sr.ClaimCarried(f.Msg.ID); claim == nil && !ok {
 					tb.Fatal("claim refused")
 				}
 			}
-			fatal(sl.MergeRelay())
-			fatal(sr.MergeRelay())
+			if !c.forward {
+				fatal(sl.MergeRelay())
+				fatal(sr.MergeRelay())
+			}
 		}
 		if sl.SendsGenuine() {
 			g, err := sl.GenuineOut()
@@ -168,6 +187,7 @@ func BenchmarkEngineContact(b *testing.B) {
 	for _, c := range contactCases {
 		b.Run(c.name, func(b *testing.B) {
 			contact, reseed := newContactRig(b, c)
+			contact() // warm the arenas before timing
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

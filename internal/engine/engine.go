@@ -128,12 +128,6 @@ func DefaultConfig(decayPerMinute float64) Config {
 // Validate rejects unusable parameter combinations.
 func (c Config) Validate() error {
 	switch {
-	case c.FilterM <= 0 || c.FilterK <= 0:
-		return fmt.Errorf("engine: filter geometry (%d,%d) invalid", c.FilterM, c.FilterK)
-	case c.InitialCounter <= 0:
-		return fmt.Errorf("engine: initial counter must be positive, got %g", c.InitialCounter)
-	case c.DecayPerMinute < 0:
-		return fmt.Errorf("engine: decay factor must be non-negative, got %g", c.DecayPerMinute)
 	case c.CopyLimit < 1:
 		return fmt.Errorf("engine: copy limit must be at least 1, got %d", c.CopyLimit)
 	case c.BrokerLow < 0 || c.BrokerHigh < c.BrokerLow:
@@ -149,8 +143,9 @@ func (c Config) Validate() error {
 	case c.RelayPartitions < 0 || c.RelayPartitions > 255:
 		return fmt.Errorf("engine: relay partitions must be in [0,255], got %d", c.RelayPartitions)
 	}
-	// The TCBF checks its own geometry too, so a config that passes here
-	// never reaches a filter constructor that would reject it.
+	// The TCBF checks the filter geometry, counter scale and decay
+	// factor, so a config that passes here never reaches a filter
+	// constructor that would reject it.
 	if err := c.FilterConfig().Validate(); err != nil {
 		return fmt.Errorf("engine: %w", err)
 	}

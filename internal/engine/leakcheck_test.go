@@ -7,9 +7,11 @@ import (
 	"bsub/internal/workload"
 )
 
-// TestReleaseLeakHook is the dynamic twin of the claimsettle analyzer: the
-// static check proves adapter code settles every claim on every path, and
-// this hook proves Release can tell when somebody didn't.
+// TestReleaseLeakHook pins the hook that holds the claim invariant: every
+// claim reaches Commit or Abort before Release. Under -tags bsubdebug (as
+// `make race` runs the whole suite) the hook panics, so any adapter path
+// that leaves a claim for Release to refund fails its tests; this test
+// proves Release can tell when somebody didn't settle.
 func TestReleaseLeakHook(t *testing.T) {
 	record := func() (*[]int, func()) {
 		var got []int

@@ -120,12 +120,6 @@ func returnsError(info *types.Info, call *ast.CallExpr) bool {
 	return check(tv.Type)
 }
 
-// hasSuffixElem reports whether rel equals elem or ends with "/"+elem —
-// used to scope analyzers to internal/<elem> regardless of nesting.
-func hasSuffixElem(rel, elem string) bool {
-	return rel == elem || strings.HasSuffix(rel, "/"+elem)
-}
-
 // underAny reports whether rel is one of the listed package paths or
 // lives underneath one of them ("internal/mesh/worker" is under
 // "internal/mesh"; "internal/meshier" is not). The suffix form keeps

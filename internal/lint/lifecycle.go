@@ -97,8 +97,8 @@ func runLifecycle(pass *Pass) {
 	})
 
 	// Phase 1: direct facts per function, then propagate through the
-	// package-local call graph to a fixpoint, mirroring lockio's
-	// blocking-ness propagation.
+	// package-local call graph to a fixpoint, as the locks analyzer
+	// propagates its summaries.
 	for _, d := range decls {
 		c.facts[d.obj] = c.directFacts(d.decl.Body)
 	}

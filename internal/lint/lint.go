@@ -1,11 +1,10 @@
 // Package lint implements bsublint, a small analyzer driver plus the
 // repo-specific analyzers that mechanically enforce the engine's
-// invariants: claims settled exactly once (claimsettle), an
-// allocation-free contact hot path (hotpathalloc), deterministic replay
-// (determinism), no blocking I/O under locks (lockio), mutex
-// acquisition in //bsub:lockrank order (lockorder), every goroutine
-// tied to a shutdown path (lifecycle), no silently dropped wire errors
-// (wireerr), and wire-derived lengths validated before use (wiretaint).
+// invariants: an allocation-free contact hot path (hotpathalloc),
+// deterministic replay (determinism), no blocking operation under a
+// mutex and mutex acquisition in //bsub:lockrank order (locks), every
+// goroutine tied to a shutdown path (lifecycle), and no silently
+// dropped wire errors (wireerr).
 //
 // The package is deliberately stdlib-only: packages are listed with
 // `go list -json -deps`, parsed with go/parser, and type-checked with
@@ -106,10 +105,9 @@ type Program struct {
 	Coldpath map[types.Object]bool
 
 	// LockRanks records mutex fields annotated //bsub:lockrank N, the
-	// declared acquisition order the lockorder analyzer enforces
-	// (lower ranks are taken first). BadLockRanks holds malformed or
-	// misplaced annotations, reported by lockorder in the owning
-	// package.
+	// declared acquisition order the locks analyzer enforces (lower
+	// ranks are taken first). BadLockRanks holds malformed or
+	// misplaced annotations, reported by locks in the owning package.
 	LockRanks    map[types.Object]LockRank
 	BadLockRanks []badLockRank
 }
@@ -329,8 +327,8 @@ func (prog *Program) runPackage(pkg *Package, analyzers []*Analyzer) (findings [
 	return findings, suppressed
 }
 
-// sortDiagnostics orders findings by file, line, column, analyzer — the
-// driver's stable output order.
+// sortDiagnostics orders findings by file, line, column, analyzer,
+// message — the driver's stable output order.
 func sortDiagnostics(ds []Diagnostic) {
 	sort.Slice(ds, func(i, j int) bool {
 		a, b := ds[i], ds[j]
@@ -343,25 +341,25 @@ func sortDiagnostics(ds []Diagnostic) {
 		if a.Pos.Column != b.Pos.Column {
 			return a.Pos.Column < b.Pos.Column
 		}
-		return a.Analyzer < b.Analyzer
+		if a.Analyzer != b.Analyzer {
+			return a.Analyzer < b.Analyzer
+		}
+		return a.Message < b.Message
 	})
 }
 
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		ClaimSettle,
 		HotpathAlloc,
 		Determinism,
-		LockIO,
-		LockOrder,
+		Locks,
 		Lifecycle,
 		WireErr,
-		WireTaint,
 	}
 }
 
-// ByName resolves a comma-separated analyzer list ("claimsettle,lockio").
+// ByName resolves a comma-separated analyzer list ("locks,wireerr").
 // A repeated name selects its analyzer once.
 func ByName(names string) ([]*Analyzer, error) {
 	all := All()

@@ -97,18 +97,6 @@ func checkFixture(t *testing.T, a *Analyzer, pkgPath string) int {
 	return suppressed
 }
 
-func TestClaimSettleFixture(t *testing.T) {
-	if got := checkFixture(t, ClaimSettle, "bsub/claimfix"); got != 1 {
-		t.Errorf("suppressed = %d, want 1 (the //lint:ignore in claimfix)", got)
-	}
-}
-
-func TestClaimSettleEngineStubClean(t *testing.T) {
-	// The engine stub defines Claim itself; its own methods must not be
-	// flagged.
-	checkFixture(t, ClaimSettle, "bsub/internal/engine")
-}
-
 func TestHotpathAllocFixture(t *testing.T) {
 	if got := checkFixture(t, HotpathAlloc, "bsub/hotfix"); got != 1 {
 		t.Errorf("suppressed = %d, want 1 (the //lint:ignore in hotfix)", got)
@@ -145,18 +133,22 @@ func TestDeterminismScopedOut(t *testing.T) {
 	checkFixture(t, Determinism, "bsub/other")
 }
 
+// The locks analyzer answers two questions at every call and acquire
+// site; the livenode and mesh fixtures plant blocking operations under
+// a lock, lockorderfix plants rank inversions.
+
 func TestLockIOFixture(t *testing.T) {
-	checkFixture(t, LockIO, "bsub/internal/livenode")
+	checkFixture(t, Locks, "bsub/internal/livenode")
 }
 
 func TestLockIOMeshFixture(t *testing.T) {
-	if !LockIO.Applies("internal/mesh") {
-		t.Fatal("lockio must apply to internal/mesh")
+	if !Locks.Applies("internal/mesh") {
+		t.Fatal("locks must apply to internal/mesh")
 	}
-	if LockIO.Applies("internal/meshier") {
-		t.Error("lockio must not apply to sibling packages by prefix")
+	if Locks.Applies("internal/meshier") {
+		t.Error("locks must not apply to sibling packages by prefix")
 	}
-	checkFixture(t, LockIO, "bsub/internal/mesh")
+	checkFixture(t, Locks, "bsub/internal/mesh")
 }
 
 func TestWireErrFixture(t *testing.T) {
@@ -194,9 +186,9 @@ func TestLifecycleFixture(t *testing.T) {
 }
 
 func TestLifecycleMeshFixtureClean(t *testing.T) {
-	// The lockio mesh fixture's spawn-under-lock idiom (Add then go with
+	// The locks mesh fixture's spawn-under-lock idiom (Add then go with
 	// a deferred Done) must stay legal under lifecycle too. That package
-	// carries lockio want comments, so diff by hand: no lifecycle
+	// carries locks want comments, so diff by hand: no lifecycle
 	// finding may land in its files.
 	prog := fixtureProg(t)
 	pkg := prog.Packages["bsub/internal/mesh"]
@@ -216,38 +208,24 @@ func TestLifecycleMeshFixtureClean(t *testing.T) {
 }
 
 func TestLockOrderFixture(t *testing.T) {
-	if !LockOrder.Applies("internal/mesh") || !LockOrder.Applies("internal/livenode") {
-		t.Fatal("lockorder must apply to internal/mesh and internal/livenode")
+	if !Locks.Applies("internal/mesh") || !Locks.Applies("internal/livenode") {
+		t.Fatal("locks must apply to internal/mesh and internal/livenode")
 	}
-	if LockOrder.Applies("internal/engine") {
-		t.Error("lockorder must not apply to internal/engine")
+	if Locks.Applies("internal/engine") {
+		t.Error("locks must not apply to internal/engine")
 	}
-	checkFixture(t, LockOrder, "bsub/internal/mesh/lockorderfix")
-}
-
-func TestWireTaintFixture(t *testing.T) {
-	for _, rel := range []string{
-		"internal/livenode", "internal/mesh", "internal/tcbf",
-	} {
-		if !WireTaint.Applies(rel) {
-			t.Errorf("wiretaint must apply to %s", rel)
-		}
-	}
-	if WireTaint.Applies("internal/engine") {
-		t.Error("wiretaint must not apply to internal/engine")
-	}
-	checkFixture(t, WireTaint, "bsub/internal/livenode/wiretaintfix")
+	checkFixture(t, Locks, "bsub/internal/mesh/lockorderfix")
 }
 
 func TestByName(t *testing.T) {
-	got, err := ByName("claimsettle, lockio")
-	if err != nil || len(got) != 2 || got[0].Name != "claimsettle" || got[1].Name != "lockio" {
+	got, err := ByName("wireerr, locks")
+	if err != nil || len(got) != 2 || got[0].Name != "wireerr" || got[1].Name != "locks" {
 		t.Errorf("ByName = %v, %v", got, err)
 	}
 	// A repeated name selects its analyzer once, so its findings are
 	// not reported twice.
-	got, err = ByName("hotpathalloc,lockio,hotpathalloc")
-	if err != nil || len(got) != 2 || got[0].Name != "hotpathalloc" || got[1].Name != "lockio" {
+	got, err = ByName("hotpathalloc,locks,hotpathalloc")
+	if err != nil || len(got) != 2 || got[0].Name != "hotpathalloc" || got[1].Name != "locks" {
 		t.Errorf("ByName(repeated) = %v, %v", got, err)
 	}
 	if _, err := ByName("nosuch"); err == nil {

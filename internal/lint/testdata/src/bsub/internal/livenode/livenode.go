@@ -1,5 +1,5 @@
-// Package livenode exercises the lockio analyzer: no blocking operation
-// while a mutex is held.
+// Package livenode exercises the locks analyzer's blocking check: no
+// blocking operation while a mutex is held.
 package livenode
 
 import (

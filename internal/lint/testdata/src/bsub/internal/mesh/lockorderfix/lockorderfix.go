@@ -1,4 +1,4 @@
-// Package lockorderfix exercises the lockorder analyzer: mutexes
+// Package lockorderfix exercises the locks analyzer's rank check: mutexes
 // annotated //bsub:lockrank N must be acquired in increasing rank
 // order, directly or through package-local calls, and any mutex that
 // nests with a ranked one must itself be ranked.

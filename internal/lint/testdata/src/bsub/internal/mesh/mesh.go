@@ -1,4 +1,4 @@
-// Package mesh exercises the lockio analyzer over the mesh daemon's
+// Package mesh exercises the locks analyzer over the mesh daemon's
 // idioms: the event loop must collect targets under the membership lock
 // and enqueue after releasing it, and worker queues must never see a
 // channel op while a lock is held.

@@ -179,10 +179,10 @@ type Mesh struct {
 	wg        sync.WaitGroup
 
 	// mu guards the membership table and the scheduler rng. Nothing
-	// blocking — dials, channel ops, hook calls — runs while it is held
-	// (enforced by bsublint's lockio analyzer), and it is always the
-	// first lock taken: mu, then a worker's mu, then statsMu (enforced
-	// by bsublint's lockorder analyzer via the rank below).
+	// blocking — dials, channel ops, hook calls — runs while it is held,
+	// and it is always the first lock taken: mu, then a worker's mu,
+	// then statsMu (both enforced by bsublint's locks analyzer, the
+	// order via the rank below).
 	//bsub:lockrank 10
 	mu            sync.Mutex
 	members       map[uint32]*member

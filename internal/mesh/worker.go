@@ -50,7 +50,7 @@ type peerWorker struct {
 	rng   *rand.Rand // guarded by the single-drain invariant
 
 	// mu guards the queue and lifecycle flags; nothing blocking runs
-	// while it is held (enforced by bsublint's lockio analyzer). It
+	// while it is held (enforced by bsublint's locks analyzer). It
 	// nests inside Mesh.mu (Close and peer transitions stop workers
 	// under the membership lock) and outside statsMu.
 	//bsub:lockrank 20

@@ -101,7 +101,7 @@ func (c Config) Validate() error {
 		return err
 	}
 	if _, err := hashkit.New(c.M, c.K); err != nil {
-		return fmt.Errorf("tcbf: %w", err)
+		return fmt.Errorf("tcbf: filter geometry (%d,%d): %w", c.M, c.K, err)
 	}
 	return nil
 }
