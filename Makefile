@@ -1,7 +1,7 @@
 GO ?= go
 SHADOW := $(shell command -v shadow 2>/dev/null)
 
-.PHONY: build test race allocs vet vet-shadow fmt-check lint lint-one parity chaos chaos-mesh fuzz golden bench-smoke determinism scale ablation perfbench-test check bench
+.PHONY: build test race allocs vet vet-shadow fmt-check lint lint-one parity chaos chaos-mesh fuzz golden bench-smoke determinism scale artifacts perfbench-test check bench
 
 build:
 	$(GO) build ./...
@@ -91,12 +91,11 @@ fuzz:
 	$(GO) test ./internal/filtertest -run '^$$' -fuzz FuzzFilterModel -fuzztime 5s
 	$(GO) test ./internal/faultnet -run '^$$' -fuzz FuzzFabricHealDuringHandshake -fuzztime 5s
 
-# golden regenerates the quick-mode experiment CSVs (seed 1) and compares
-# them byte-for-byte against the committed goldens in
-# cmd/experiments/testdata: the fig7/fig9 series, pinning the
-# zero-allocation contact path to the exact results of the
-# straightforward implementation it replaced, and the seven ablation
-# grids.
+# golden rebuilds the quick-mode experiment tables (seed 1) and compares
+# their CSVs byte-for-byte against the committed goldens in
+# cmd/experiments/testdata: the fig7/fig9 series and the seven ablation
+# grids on the small fixture, and a three-point Fig. 9 DF grid on the
+# full Haggle and MIT fixtures.
 golden:
 	$(GO) test -count=1 -run TestGoldenCSVs ./cmd/experiments
 
@@ -125,11 +124,13 @@ determinism:
 scale:
 	$(GO) run ./cmd/experiments -run scale -csv artifacts
 
-# ablation runs the full ablation battery over the MIT trace (merge,
-# decay, copy limit, election thresholds, geometry, DF policy, relay
-# partitions), leaving the seven CSV grids in artifacts/. Takes seconds.
-ablation:
-	$(GO) run ./cmd/experiments -run ablation -csv artifacts
+# artifacts regenerates every checked-in result of the evaluation — Tables
+# I-II, Figs. 7-9, the memory, analysis and allocation tables and the
+# seven ablation grids — as one CSV per table in artifacts/ (seed 1, full
+# fixtures; about a minute on 2 vCPUs). The scale sweep is left to the
+# scale target. EXPERIMENTS.md quotes these files and nothing else.
+artifacts:
+	$(GO) run ./cmd/experiments -csv artifacts
 
 # perfbench-test vets the benchmark module and runs its own tests (about
 # 5 s): the tracing decorators must stay transparent to the simulator's

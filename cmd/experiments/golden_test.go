@@ -1,81 +1,78 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"bsub/internal/experiments"
 )
 
-// TestGoldenCSVs regenerates the quick-mode CSV artifacts that emit files
-// (seed 1) and compares them byte-for-byte against the committed goldens
-// in testdata/. The goldens pin the hot-path refactors — scratch filters,
-// in-place encode/decode, precomputed digests — to the exact simulation
-// results of the straightforward implementation. They were regenerated
-// once when the packed fixed-point counters landed: quantizing counters to
-// Initial/1024 units shifts a handful of marginal forwarding decisions
-// (delivery/delay deltas under 2%), which is an intentional semantic
-// change, not drift. They were regenerated again when replication
-// exhaustion stopped evicting produced messages: a producer now serves
-// subscribers directly until the TTL even after its copy budget is spent,
-// nudging delivery ratios up and delays down by similar margins. The
-// latest regeneration came with streaming fixture generation: traces and
-// workloads are now drawn from per-pair/per-node derived RNG streams so
-// they can be produced lazily at million-node scale, which resamples the
-// synthetic Poisson processes. Delivery-ratio deltas stay within ~3%
-// (most cells under 2%) and every qualitative trend the figures assert —
-// PUSH > B-SUB > PULL delivery, delay orderings, DF sensitivity — is
-// unchanged. The seven ablation grids (ablation-1.csv … ablation-7.csv:
-// merge, decay, copy limit, election thresholds, geometry, DF policy,
-// relay partitions) are pinned the same way.
-// Regenerate with:
+// TestGoldenCSVs rebuilds the quick-mode artifacts (seed 1) and the Fig. 9
+// grid on the paper's fixtures, and compares each table's CSV
+// byte-for-byte against testdata/<name>.csv.
+//
+// The quick artifacts run on the 20-node small fixture, so fig9-haggle.csv
+// and fig9-mit.csv are the same trace: fig7.csv, the two fig9 files and
+// the seven ablation grids (merge, decay, copy limit, election thresholds,
+// geometry, DF policy, relay partitions) pin the simulator and the
+// protocol to exact results. Regenerate them only for a deliberate change
+// of results, and say why in CHANGES.md:
 //
 //	go run ./cmd/experiments -run fig7 -seed 1 -quick -csv cmd/experiments/testdata
 //	go run ./cmd/experiments -run fig9 -seed 1 -quick -csv cmd/experiments/testdata
 //	go run ./cmd/experiments -run ablation -seed 1 -quick -csv cmd/experiments/testdata
+//
+// The fixture grid (fixture-fig9-haggle.csv, fixture-fig9-mit.csv) runs
+// B-SUB at DF 0, 0.138 and 1.0 per minute and the paper's 20 h TTL on
+// the 79-node Haggle and 97-node MIT fixtures, the traces the figures are
+// drawn from. It has no command-line form: on a deliberate change, the
+// failure message prints the regenerated CSV that replaces the file.
 func TestGoldenCSVs(t *testing.T) {
 	if testing.Short() {
-		t.Skip("quick-mode simulations still take a few seconds")
-	}
-	old := os.Stdout
-	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = null
-	defer func() {
-		os.Stdout = old
-		_ = null.Close()
-	}()
-
-	dir := t.TempDir()
-	files := map[string][]string{
-		"fig7": {"fig7.csv"},
-		"fig9": {"fig9-haggle.csv", "fig9-mit.csv"},
-		"ablation": {
-			"ablation-1.csv", "ablation-2.csv", "ablation-3.csv", "ablation-4.csv",
-			"ablation-5.csv", "ablation-6.csv", "ablation-7.csv",
-		},
+		t.Skip("the simulations take a few seconds")
 	}
 	for _, artifact := range []string{"fig7", "fig9", "ablation"} {
-		artifact := artifact
 		t.Run(artifact, func(t *testing.T) {
-			if err := runArtifact(artifact, 1, true, dir); err != nil {
+			tables, err := build(artifact, 1, true)
+			if err != nil {
 				t.Fatalf("%s: %v", artifact, err)
 			}
-			for _, name := range files[artifact] {
-				got, err := os.ReadFile(filepath.Join(dir, name))
-				if err != nil {
-					t.Fatalf("regenerated %s: %v", name, err)
-				}
-				want, err := os.ReadFile(filepath.Join("testdata", name))
-				if err != nil {
-					t.Fatalf("golden %s: %v", name, err)
-				}
-				if string(got) != string(want) {
-					t.Errorf("%s diverged from testdata golden:\ngot:\n%s\nwant:\n%s",
-						name, got, want)
-				}
-			}
+			checkGolden(t, tables)
 		})
+	}
+	t.Run("fixture-fig9", func(t *testing.T) {
+		var tables []experiments.Table
+		for _, which := range []string{"haggle", "mit"} {
+			f, err := fixture(which, 1, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			points, err := experiments.DFSweep(f, []float64{0, 0.138, 1.0}, experiments.Fig9TTL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tables = append(tables, experiments.DFTable("fixture-fig9-"+which, points))
+		}
+		checkGolden(t, tables)
+	})
+}
+
+// checkGolden compares each table's CSV with testdata/<name>.csv.
+func checkGolden(t *testing.T, tables []experiments.Table) {
+	t.Helper()
+	for _, tb := range tables {
+		var got bytes.Buffer
+		if err := tb.WriteCSV(&got); err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", tb.Name+".csv"))
+		if err != nil {
+			t.Fatalf("golden %s: %v", tb.Name, err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s.csv diverged from testdata golden:\ngot:\n%s\nwant:\n%s", tb.Name, got.Bytes(), want)
+		}
 	}
 }

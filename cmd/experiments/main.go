@@ -1,27 +1,29 @@
 // Command experiments regenerates every table and figure of the B-SUB
-// paper's evaluation (Section VII). Output is textual: one block per
-// artifact with the same rows/series the paper plots.
+// paper's evaluation (Section VII) as CSV: each artifact is one or more
+// tables, a header plus one row per x-position, named table1, table2,
+// fig7, fig8, fig9-haggle, fig9-mit, memory, analysis, allocation,
+// ablation-1 … ablation-7 and scale. Tables go to stdout, each followed by
+// a blank line, or to <dir>/<name>.csv with -csv; progress goes to stderr.
 //
 // Usage:
 //
-//	experiments                 # run everything (minutes)
-//	experiments -run fig7       # one artifact: table1 table2 fig7 fig8 fig9 memory analysis allocation
+//	experiments                 # every artifact but scale (minutes)
+//	experiments -run fig7       # one artifact: table1 table2 fig7 fig8 fig9 memory analysis allocation ablation scale
+//	experiments -csv artifacts  # write artifacts/<name>.csv instead of stdout
 //	experiments -quick          # small fixture + reduced sweeps (seconds)
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
-	"bsub/internal/analysis"
 	"bsub/internal/experiments"
-	"bsub/internal/workload"
 )
 
 func main() {
@@ -36,7 +38,7 @@ func run() error {
 		only   = flag.String("run", "", "run a single artifact: table1 | table2 | fig7 | fig8 | fig9 | memory | analysis | allocation | ablation | scale")
 		seed   = flag.Int64("seed", 1, "random seed")
 		quick  = flag.Bool("quick", false, "use the small fixture and reduced sweeps")
-		csvDir = flag.String("csv", "", "also write the figure series as CSV files into this directory")
+		csvDir = flag.String("csv", "", "write each table to <dir>/<name>.csv instead of stdout")
 	)
 	flag.Parse()
 
@@ -47,194 +49,155 @@ func run() error {
 		artifacts = append(artifacts, "scale")
 	}
 	if *only != "" {
-		found := false
-		for _, a := range artifacts {
-			if a == *only {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.Contains(artifacts, *only) {
 			return fmt.Errorf("unknown artifact %q (have %s)", *only, strings.Join(artifacts, ", "))
 		}
 		artifacts = []string{*only}
 	}
+	if *csvDir != "" {
+		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
+			return fmt.Errorf("csv dir: %w", err)
+		}
+	}
 
 	for _, a := range artifacts {
 		started := time.Now()
-		if err := runArtifact(a, *seed, *quick, *csvDir); err != nil {
+		tables, err := build(a, *seed, *quick)
+		if err != nil {
 			return fmt.Errorf("%s: %w", a, err)
 		}
-		fmt.Printf("-- %s done in %v --\n\n", a, time.Since(started).Round(time.Millisecond))
+		for _, t := range tables {
+			if err := write(*csvDir, t); err != nil {
+				return err
+			}
+		}
+		fmt.Fprintf(os.Stderr, "-- %s done in %v --\n", a, time.Since(started).Round(time.Millisecond))
 	}
 	return nil
 }
 
-// writeCSV persists a figure's series when a CSV directory is configured.
-func writeCSV(dir, file string, write func(io.Writer) error) error {
+// write publishes one table: to dir/<name>.csv when dir is set, otherwise
+// to stdout followed by a blank line.
+func write(dir string, t experiments.Table) error {
 	if dir == "" {
-		return nil
+		if err := t.WriteCSV(os.Stdout); err != nil {
+			return err
+		}
+		_, err := fmt.Println()
+		return err
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("csv dir: %w", err)
-	}
-	f, err := os.Create(filepath.Join(dir, file))
+	f, err := os.Create(filepath.Join(dir, t.Name+".csv"))
 	if err != nil {
 		return err
 	}
-	if err := write(f); err != nil {
+	if err := t.WriteCSV(f); err != nil {
 		_ = f.Close()
 		return err
 	}
 	return f.Close()
 }
 
-func runArtifact(name string, seed int64, quick bool, csvDir string) error {
+// build runs one artifact's experiments and returns its tables.
+func build(name string, seed int64, quick bool) ([]experiments.Table, error) {
 	switch name {
 	case "table1":
 		rows, err := experiments.Table1(seed)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		return experiments.WriteTable1(os.Stdout, rows)
+		return []experiments.Table{experiments.TraceTable(rows)}, nil
 
 	case "table2":
-		return experiments.WriteTable2(os.Stdout, experiments.Table2(4))
+		return []experiments.Table{experiments.KeyTable(experiments.Table2(4))}, nil
 
-	case "fig7":
-		f, err := fixture("haggle", seed, quick)
+	case "fig7", "fig8":
+		which := "haggle"
+		if name == "fig8" {
+			which = "mit"
+		}
+		f, err := fixture(which, seed, quick)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		points, err := experiments.TTLSweep(f, ttls(quick))
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if err := writeCSV(csvDir, "fig7.csv", func(w io.Writer) error {
-			return experiments.WriteTTLSweepCSV(w, points)
-		}); err != nil {
-			return err
-		}
-		return experiments.WriteTTLSweep(os.Stdout,
-			fmt.Sprintf("Fig. 7: PUSH vs B-SUB vs PULL on %s", f.Name), points)
-
-	case "fig8":
-		f, err := fixture("mit", seed, quick)
-		if err != nil {
-			return err
-		}
-		points, err := experiments.TTLSweep(f, ttls(quick))
-		if err != nil {
-			return err
-		}
-		if err := writeCSV(csvDir, "fig8.csv", func(w io.Writer) error {
-			return experiments.WriteTTLSweepCSV(w, points)
-		}); err != nil {
-			return err
-		}
-		return experiments.WriteTTLSweep(os.Stdout,
-			fmt.Sprintf("Fig. 8: PUSH vs B-SUB vs PULL on %s", f.Name), points)
+		return []experiments.Table{experiments.TTLTable(name, points)}, nil
 
 	case "fig9":
+		ttl := experiments.Fig9TTL
+		if quick {
+			ttl = 4 * time.Hour
+		}
+		var tables []experiments.Table
 		for _, which := range []string{"haggle", "mit"} {
 			f, err := fixture(which, seed, quick)
 			if err != nil {
-				return err
-			}
-			ttl := experiments.Fig9TTL
-			if quick {
-				ttl = 4 * time.Hour
+				return nil, err
 			}
 			points, err := experiments.DFSweep(f, dfs(quick), ttl)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			if err := writeCSV(csvDir, "fig9-"+which+".csv", func(w io.Writer) error {
-				return experiments.WriteDFSweepCSV(w, points)
-			}); err != nil {
-				return err
-			}
-			if err := experiments.WriteDFSweep(os.Stdout,
-				fmt.Sprintf("Fig. 9: B-SUB vs decaying factor on %s", f.Name), points); err != nil {
-				return err
-			}
+			tables = append(tables, experiments.DFTable("fig9-"+which, points))
 		}
-		return nil
+		return tables, nil
 
 	case "memory":
 		m, err := experiments.MemoryComparison()
 		if err != nil {
-			return err
+			return nil, err
 		}
-		return experiments.WriteMemory(os.Stdout, m)
+		return []experiments.Table{experiments.MemoryTable(m)}, nil
 
 	case "analysis":
-		n := workload.NewTrendKeySet().Len()
-		fmt.Printf("A1: Eq. 1-3 at the evaluation geometry (m=256, k=4)\n")
-		fmt.Printf("keys=%d  FPR=%.4f (paper: 0.04)  fill ratio=%.3f  expected set bits=%.1f\n",
-			n, analysis.FPR(256, 4, n), analysis.FillRatio(256, 4, n), analysis.ExpectedSetBits(256, 4, n))
-		fmt.Printf("wasted-delivery estimates at FPR=0.04: completely wasted %.4f, partially useful %.4f\n",
-			analysis.CompletelyWastedRatio(0.04), analysis.PartiallyUsefulRatio(0.04))
-		return nil
+		return []experiments.Table{experiments.AnalysisTable()}, nil
 
 	case "allocation":
 		points, err := experiments.AllocationSweep([]int{235, 250, 265, 275, 285, 300, 500})
 		if err != nil {
-			return err
+			return nil, err
 		}
-		return experiments.WriteAllocation(os.Stdout, points)
+		return []experiments.Table{experiments.AllocationTable(points)}, nil
 
 	case "ablation":
 		f, err := fixture("mit", seed, quick)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		ttl := 8 * time.Hour
 		if quick {
 			ttl = 4 * time.Hour
 		}
-		runs := []struct {
-			title string
-			fn    func() ([]experiments.AblationResult, error)
-		}{
-			{"ablation: broker merge operation (Fig. 6 argument)", func() ([]experiments.AblationResult, error) {
-				return experiments.AblateMerge(f, ttl)
-			}},
-			{"ablation: decaying factor (Section VI-A)", func() ([]experiments.AblationResult, error) {
-				return experiments.AblateDecay(f, ttl)
-			}},
-			{"ablation: producer copy limit C", func() ([]experiments.AblationResult, error) {
+		// ablation-1 … ablation-7: merge, decay, copy limit, election
+		// thresholds, geometry, DF policy, relay partitions.
+		runs := []func() ([]experiments.AblationResult, error){
+			func() ([]experiments.AblationResult, error) { return experiments.AblateMerge(f, ttl) },
+			func() ([]experiments.AblationResult, error) { return experiments.AblateDecay(f, ttl) },
+			func() ([]experiments.AblationResult, error) {
 				return experiments.AblateCopyLimit(f, ttl, []int{1, 3, 8})
-			}},
-			{"ablation: broker election thresholds (T_l, T_u)", func() ([]experiments.AblationResult, error) {
+			},
+			func() ([]experiments.AblationResult, error) {
 				return experiments.AblateBrokerThresholds(f, ttl, [][2]int{{1, 2}, {3, 5}, {8, 12}})
-			}},
-			{"ablation: TCBF geometry (m, k)", func() ([]experiments.AblationResult, error) {
+			},
+			func() ([]experiments.AblationResult, error) {
 				return experiments.AblateGeometry(f, ttl, [][2]int{{64, 4}, {256, 2}, {256, 4}, {1024, 4}})
-			}},
-			{"ablation: DF policy (fixed vs online Eq. 5 vs FPR feedback)", func() ([]experiments.AblationResult, error) {
-				return experiments.AblateDFPolicy(f, ttl, 0.04)
-			}},
-			{"ablation: relay-filter partitions (Section VI-D)", func() ([]experiments.AblationResult, error) {
+			},
+			func() ([]experiments.AblationResult, error) { return experiments.AblateDFPolicy(f, ttl, 0.04) },
+			func() ([]experiments.AblationResult, error) {
 				return experiments.AblateRelayPartitions(f, ttl, []int{1, 2, 4})
-			}},
+			},
 		}
-		for i, r := range runs {
-			results, err := r.fn()
+		tables := make([]experiments.Table, 0, len(runs))
+		for i, run := range runs {
+			results, err := run()
 			if err != nil {
-				return err
+				return nil, err
 			}
-			if err := writeCSV(csvDir, fmt.Sprintf("ablation-%d.csv", i+1), func(w io.Writer) error {
-				return experiments.WriteAblationCSV(w, results)
-			}); err != nil {
-				return err
-			}
-			if err := experiments.WriteAblation(os.Stdout, r.title, results); err != nil {
-				return err
-			}
-			fmt.Println()
+			tables = append(tables, experiments.AblationTable(fmt.Sprintf("ablation-%d", i+1), results))
 		}
-		return nil
+		return tables, nil
 
 	case "scale":
 		sizes := experiments.DefaultScaleSizes
@@ -243,17 +206,11 @@ func runArtifact(name string, seed int64, quick bool, csvDir string) error {
 		}
 		points, err := experiments.ScaleSweep(sizes, runtime.GOMAXPROCS(0), seed)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if err := writeCSV(csvDir, "scale.csv", func(w io.Writer) error {
-			return experiments.WriteScaleCSV(w, points)
-		}); err != nil {
-			return err
-		}
-		return experiments.WriteScale(os.Stdout,
-			"Scale sweep: B-SUB over streamed traces (ROADMAP item 1)", points)
+		return []experiments.Table{experiments.ScaleTable(points)}, nil
 	}
-	return fmt.Errorf("unknown artifact %q", name)
+	return nil, fmt.Errorf("unknown artifact %q", name)
 }
 
 func fixture(which string, seed int64, quick bool) (*experiments.Fixture, error) {

@@ -2,40 +2,67 @@ package main
 
 import (
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
 
 func TestRunArtifactQuick(t *testing.T) {
-	// Smoke-run every artifact at quick scale; output goes to the test's
-	// stdout, correctness of the numbers is asserted in
-	// internal/experiments.
-	old := os.Stdout
-	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
+	// Smoke-build every cheap artifact at quick scale; the numbers are
+	// asserted in internal/experiments and by the goldens.
+	want := map[string][]string{
+		"table2":     {"table2"},
+		"fig7":       {"fig7"},
+		"fig9":       {"fig9-haggle", "fig9-mit"},
+		"memory":     {"memory"},
+		"analysis":   {"analysis"},
+		"allocation": {"allocation"},
 	}
-	os.Stdout = null
-	defer func() {
-		os.Stdout = old
-		_ = null.Close()
-	}()
-
-	for _, artifact := range []string{
-		"table2", "fig7", "fig9", "memory", "analysis", "allocation",
-	} {
-		artifact := artifact
+	for artifact, names := range want {
 		t.Run(artifact, func(t *testing.T) {
-			if err := runArtifact(artifact, 1, true, t.TempDir()); err != nil {
+			tables, err := build(artifact, 1, true)
+			if err != nil {
 				t.Fatalf("%s: %v", artifact, err)
+			}
+			if len(tables) != len(names) {
+				t.Fatalf("%s built %d tables, want %v", artifact, len(tables), names)
+			}
+			for i, tb := range tables {
+				if tb.Name != names[i] || len(tb.Rows) == 0 {
+					t.Errorf("table %d = %q with %d rows, want %q with rows", i, tb.Name, len(tb.Rows), names[i])
+				}
+				for _, row := range tb.Rows {
+					if len(row) != len(tb.Header) {
+						t.Errorf("%s: row %v does not match header %v", tb.Name, row, tb.Header)
+					}
+				}
 			}
 		})
 	}
 }
 
 func TestRunArtifactUnknown(t *testing.T) {
-	if err := runArtifact("bogus", 1, true, ""); err == nil {
+	if _, err := build("bogus", 1, true); err == nil {
 		t.Error("unknown artifact accepted")
+	}
+}
+
+func TestWriteCSVDir(t *testing.T) {
+	tables, err := build("table2", 1, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := write(dir, tables[0]); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "table2.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(got), "key,weight\nNewMoon,0.132000\n") {
+		t.Errorf("table2.csv = %q", got)
 	}
 }
 

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"bsub/internal/core"
@@ -166,25 +165,4 @@ func AblateRelayPartitions(f *Fixture, ttl time.Duration, hs []int) ([]AblationR
 		}{name: fmt.Sprintf("h=%d", h), cfg: cfg})
 	}
 	return runVariants(f, ttl, variants)
-}
-
-// WriteAblation renders ablation variants side by side.
-func WriteAblation(w io.Writer, title string, results []AblationResult) error {
-	if _, err := fmt.Fprintf(w, "%s\n", title); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%-28s %10s %12s %8s %8s %8s %10s\n",
-		"variant", "delivery", "delay(min)", "fwd", "FPR", "injFPR", "ctrl(KiB)"); err != nil {
-		return err
-	}
-	for _, r := range results {
-		_, err := fmt.Fprintf(w, "%-28s %10.3f %12.1f %8.2f %8.4f %8.4f %10.1f\n",
-			r.Variant, r.Report.DeliveryRatio(), r.Report.MeanDelay().Minutes(),
-			r.Report.ForwardingsPerDelivered(), r.Report.FPR(), r.Report.InjectionFPR(),
-			float64(r.Report.ControlBytes)/1024)
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

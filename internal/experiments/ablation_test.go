@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 	"time"
 )
@@ -112,19 +110,20 @@ func TestAblateGeometryInvalid(t *testing.T) {
 	}
 }
 
+// TestWriteAblation checks that ablation variants render as one CSV row
+// each, labelled by variant, under the Section VII metric columns.
 func TestWriteAblation(t *testing.T) {
 	f := smallFixture(t)
 	results, err := AblateCopyLimit(f, ablationTTL, []int{3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := WriteAblation(&buf, "ablation: copy limit", results); err != nil {
-		t.Fatal(err)
+	rows := csvRows(t, AblationTable("ablation", results))
+	if len(rows) != 2 || rows[1][0] != "C=3" || rows[0][1] != "delivery" {
+		t.Errorf("ablation CSV malformed: %v", rows)
 	}
-	out := buf.String()
-	if !strings.Contains(out, "C=3") || !strings.Contains(out, "delivery") {
-		t.Errorf("ablation output malformed:\n%s", out)
+	if last := len(rows[0]) - 1; rows[0][last] != "control_bytes" || len(rows[1]) != len(rows[0]) {
+		t.Errorf("ablation CSV header %v, row %v", rows[0], rows[1])
 	}
 }
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"encoding/csv"
+	"errors"
 	"math"
 	"reflect"
 	"strings"
@@ -185,65 +186,6 @@ func TestAllocationSweep(t *testing.T) {
 	}
 }
 
-func TestWriters(t *testing.T) {
-	f := smallFixture(t)
-	points, err := TTLSweep(f, []time.Duration{time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteTTLSweep(&buf, "Fig 7 (small)", points); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "TTL(min)") {
-		t.Error("TTL sweep output missing header")
-	}
-
-	dfp, err := DFSweep(f, []float64{0.5}, time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	if err := WriteDFSweep(&buf, "Fig 9 (small)", dfp); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "FPR") {
-		t.Error("DF sweep output missing header")
-	}
-
-	buf.Reset()
-	if err := WriteTable2(&buf, Table2(4)); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "NewMoon") {
-		t.Error("Table II output missing top key")
-	}
-
-	m, err := MemoryComparison()
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	if err := WriteMemory(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "raw strings") {
-		t.Error("memory output malformed")
-	}
-
-	ap, err := AllocationSweep([]int{400})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	if err := WriteAllocation(&buf, ap); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "joint FPR") {
-		t.Error("allocation output malformed")
-	}
-}
-
 func TestTable1(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table 1 generates both full traces")
@@ -264,29 +206,34 @@ func TestTable1(t *testing.T) {
 	if math.Abs(float64(rows[1].Contacts)-54667)/54667 > 0.15 {
 		t.Errorf("mit contacts %d off target", rows[1].Contacts)
 	}
-	var buf bytes.Buffer
-	if err := WriteTable1(&buf, rows); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "Haggle") {
-		t.Error("Table I output malformed")
+	if tb := TraceTable(rows); len(tb.Rows) != 2 || tb.Rows[0][4] != "79" {
+		t.Errorf("Table I rows = %v", tb.Rows)
 	}
 }
 
-func TestCSVWriters(t *testing.T) {
+// csvRows writes a table through the one CSV writer and parses it back.
+func csvRows(t *testing.T, tb Table) [][]string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tb.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := csv.NewReader(&buf).ReadAll()
+	if err != nil {
+		t.Fatalf("%s CSV does not parse: %v", tb.Name, err)
+	}
+	return rows
+}
+
+// TestWriters checks each artifact's table builder: run through the CSV
+// writer, every table parses back with its header and the expected cells.
+func TestWriters(t *testing.T) {
 	f := smallFixture(t)
 	points, err := TTLSweep(f, []time.Duration{time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := WriteTTLSweepCSV(&buf, points); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatalf("TTL sweep CSV does not parse: %v", err)
-	}
+	rows := csvRows(t, TTLTable("fig7", points))
 	if len(rows) != 2 || len(rows[0]) != 10 {
 		t.Errorf("TTL sweep CSV shape %dx%d, want 2x10", len(rows), len(rows[0]))
 	}
@@ -298,26 +245,61 @@ func TestCSVWriters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf.Reset()
-	if err := WriteDFSweepCSV(&buf, dfp); err != nil {
-		t.Fatal(err)
-	}
-	rows, err = csv.NewReader(&buf).ReadAll()
-	if err != nil || len(rows) != 2 || len(rows[0]) != 6 {
-		t.Errorf("DF sweep CSV malformed: %v rows=%d", err, len(rows))
+	if rows = csvRows(t, DFTable("fig9", dfp)); len(rows) != 2 || len(rows[0]) != 6 || rows[0][4] != "fpr" {
+		t.Errorf("DF sweep CSV malformed: %v", rows)
 	}
 
-	ab, err := AblateCopyLimit(f, ablationTTL, []int{3})
+	if rows = csvRows(t, KeyTable(Table2(4))); len(rows) != 5 || rows[1][0] != "NewMoon" {
+		t.Errorf("Table II CSV malformed: %v", rows)
+	}
+
+	m, err := MemoryComparison()
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf.Reset()
-	if err := WriteAblationCSV(&buf, ab); err != nil {
+	if rows = csvRows(t, MemoryTable(m)); len(rows) != 2 || rows[1][0] != "38" || rows[0][1] != "raw_bytes" {
+		t.Errorf("memory CSV malformed: %v", rows)
+	}
+
+	if rows = csvRows(t, AnalysisTable()); len(rows) != 2 || rows[1][3] != ftoa(TheoreticalWorstFPR()) {
+		t.Errorf("analysis CSV malformed: %v", rows)
+	}
+
+	ap, err := AllocationSweep([]int{400})
+	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err = csv.NewReader(&buf).ReadAll()
-	if err != nil || len(rows) != 2 || rows[1][0] != "C=3" {
-		t.Errorf("ablation CSV malformed: %v %v", err, rows)
+	if rows = csvRows(t, AllocationTable(ap)); len(rows) != 2 || rows[1][0] != "400" || rows[0][4] != "joint_fpr" {
+		t.Errorf("allocation CSV malformed: %v", rows)
+	}
+}
+
+// failWriter rejects every write.
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+
+// TestCSVWriters checks the one writer every artifact goes through: the
+// header comes first, cells that need CSV quoting round-trip intact, and a
+// failing destination surfaces as an error naming the table.
+func TestCSVWriters(t *testing.T) {
+	tb := Table{Name: "quoting", Header: []string{"variant", "value"}, Rows: [][]string{
+		{"a,b", "1"},
+		{`say "hi"`, "2"},
+		{"two\nlines", ""},
+	}}
+	rows := csvRows(t, tb)
+	if want := append([][]string{tb.Header}, tb.Rows...); !reflect.DeepEqual(rows, want) {
+		t.Errorf("round trip = %q, want %q", rows, want)
+	}
+
+	if rows = csvRows(t, Table{Name: "empty", Header: []string{"x"}}); !reflect.DeepEqual(rows, [][]string{{"x"}}) {
+		t.Errorf("header-only table = %q", rows)
+	}
+
+	err := tb.WriteCSV(failWriter{})
+	if err == nil || !strings.Contains(err.Error(), "quoting") {
+		t.Errorf("WriteCSV to a failing writer: err = %v, want one naming the table", err)
 	}
 }
 

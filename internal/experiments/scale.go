@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"bufio"
-	"encoding/csv"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"runtime"
@@ -99,19 +97,12 @@ func ScaleStreams(nodes int, seed int64) (*tracegen.Stream, []workload.Key, *wor
 // one ScalePoint. Workers and the epoch width follow sim defaults when
 // zero; output is byte-identical at any worker count (see DESIGN.md §11).
 func ScaleRun(nodes, workers int, seed int64) (ScalePoint, error) {
-	return scaleRun(nodes, workers, seed, core.DefaultConfig(0.1))
-}
-
-// scaleRun is ScaleRun with the protocol configuration exposed, so the
-// backend ablation can swap the relay filter under an otherwise
-// identical streamed population.
-func scaleRun(nodes, workers int, seed int64, cfg core.Config) (ScalePoint, error) {
 	ts, interests, msgs, err := ScaleStreams(nodes, seed)
 	if err != nil {
 		return ScalePoint{}, err
 	}
 
-	proto := core.New(cfg)
+	proto := core.New(core.DefaultConfig(0.1))
 	start := time.Now()
 	rep, err := sim.Run(sim.Config{
 		Source:    ts,
@@ -187,51 +178,4 @@ func peakRSS() int64 {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return int64(ms.Sys)
-}
-
-// WriteScale renders the sweep as text.
-func WriteScale(w io.Writer, title string, points []ScalePoint) error {
-	if _, err := fmt.Fprintf(w, "%s\n", title); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%10s %8s %10s %9s %9s %8s %7s %9s %12s %10s\n",
-		"nodes", "workers", "contacts", "messages", "delivery", "fwd/dlv", "fpr", "wall_s", "contacts/s", "rss_mb"); err != nil {
-		return err
-	}
-	for _, p := range points {
-		if _, err := fmt.Fprintf(w, "%10d %8d %10d %9d %9.3f %8.2f %7.4f %9.2f %12.0f %10.1f\n",
-			p.Nodes, p.Workers, p.Contacts, p.Messages, p.Delivery, p.FwdPerD, p.FPR,
-			p.WallSec, p.ContactsPerSec, float64(p.PeakRSS)/(1<<20)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteScaleCSV emits the sweep as CSV, one row per population size.
-func WriteScaleCSV(w io.Writer, points []ScalePoint) error {
-	cw := csv.NewWriter(w)
-	header := []string{
-		"nodes", "workers", "links", "contacts", "messages",
-		"delivery", "fwd_per_delivered", "fpr", "control_bytes",
-		"wall_seconds", "contacts_per_sec", "peak_rss_bytes", "rss_bytes_per_node",
-	}
-	if err := cw.Write(header); err != nil {
-		return fmt.Errorf("experiments: csv header: %w", err)
-	}
-	for _, p := range points {
-		row := []string{
-			strconv.Itoa(p.Nodes), strconv.Itoa(p.Workers),
-			strconv.Itoa(p.Links), strconv.Itoa(p.Contacts), strconv.Itoa(p.Messages),
-			ftoa(p.Delivery), ftoa(p.FwdPerD), ftoa(p.FPR),
-			strconv.FormatInt(p.ControlBytes, 10),
-			ftoa(p.WallSec), ftoa(p.ContactsPerSec),
-			strconv.FormatInt(p.PeakRSS, 10), ftoa(p.RSSPerNode),
-		}
-		if err := cw.Write(row); err != nil {
-			return fmt.Errorf("experiments: csv row: %w", err)
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }

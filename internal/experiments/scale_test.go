@@ -1,10 +1,7 @@
 package experiments
 
 import (
-	"bytes"
-	"encoding/csv"
 	"strconv"
-	"strings"
 	"testing"
 )
 
@@ -31,24 +28,9 @@ func TestScaleSweepQuick(t *testing.T) {
 		}
 	}
 
-	var csvBuf bytes.Buffer
-	if err := WriteScaleCSV(&csvBuf, points); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := csv.NewReader(strings.NewReader(csvBuf.String())).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 { // header + 2 points
-		t.Errorf("CSV has %d rows, want 3", len(rows))
-	}
-
-	var txt bytes.Buffer
-	if err := WriteScale(&txt, "scale", points); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(txt.String(), "1500") {
-		t.Error("text writer dropped a row")
+	rows := csvRows(t, ScaleTable(points))
+	if len(rows) != 3 || rows[2][0] != "1500" { // header + 2 points
+		t.Errorf("CSV rows = %v, want the header and sizes 500, 1500", rows)
 	}
 }
 

@@ -106,10 +106,6 @@ type Config struct {
 	// exponential reconnect backoff.
 	ReconnectBackoff    time.Duration
 	MaxReconnectBackoff time.Duration
-	// NoFlood disables eager dissemination: with flood on (the default),
-	// a freshly stored or published copy immediately schedules contacts
-	// with live broker peers instead of waiting for ContactInterval.
-	NoFlood bool
 	// Seeds are addresses gossiped with at start to bootstrap the
 	// membership table.
 	Seeds []string
@@ -714,9 +710,6 @@ func (m *Mesh) contactPeer(id uint32, addr string) error {
 // periodic scheduler still visits every live peer, so an interest miss
 // delays nothing but the eager contact.
 func (m *Mesh) flood(keys ...workload.Key) {
-	if m.cfg.NoFlood {
-		return
-	}
 	wanted := m.interests.match(keys, m.clock())
 	var targets []*peerWorker
 	var direct int

@@ -359,10 +359,14 @@ func Run(cfg Config, proto Protocol) (metrics.Report, error) {
 
 	// Pump the two time-sorted streams into epoch buffers, flushing at
 	// each epoch boundary. Messages win ties, matching the sequential
-	// simulator's historical order.
+	// simulator's historical order. Every event is checked as it arrives,
+	// from a slice or a stream alike: a node out of range would index past
+	// the executor's tables, and an event earlier than its predecessor
+	// would run the protocol's clock backwards.
 	curMsg, haveMsg := msrc.Next()
 	curC, haveC := src.Next()
-	nmsgs := 0
+	nmsgs, ncontacts := 0, 0
+	var lastMsg, lastContact time.Duration
 	for haveMsg || haveC {
 		takeMsg := haveMsg && (!haveC || curMsg.CreatedAt <= curC.Start)
 		var at time.Duration
@@ -382,9 +386,10 @@ func Run(cfg Config, proto Protocol) (metrics.Report, error) {
 			if curMsg.Origin < 0 || curMsg.Origin >= n {
 				return metrics.Report{}, fmt.Errorf("sim: message %d origin %d out of range", nmsgs, curMsg.Origin)
 			}
-			if nmsgs > 0 && len(ex.msgs) > 0 && curMsg.CreatedAt < ex.msgs[len(ex.msgs)-1].CreatedAt {
+			if curMsg.CreatedAt < lastMsg {
 				return metrics.Report{}, fmt.Errorf("sim: message stream not sorted at %d", nmsgs)
 			}
+			lastMsg = curMsg.CreatedAt
 			ex.events = append(ex.events, event{
 				at:  curMsg.CreatedAt,
 				a:   trace.NodeID(curMsg.Origin),
@@ -396,6 +401,14 @@ func Run(cfg Config, proto Protocol) (metrics.Report, error) {
 			curMsg, haveMsg = msrc.Next()
 			continue
 		}
+		if err := curC.Validate(n); err != nil {
+			return metrics.Report{}, fmt.Errorf("sim: contact %d: %w", ncontacts, err)
+		}
+		if curC.Start < lastContact {
+			return metrics.Report{}, fmt.Errorf("sim: contact stream not sorted at %d", ncontacts)
+		}
+		lastContact = curC.Start
+		ncontacts++
 		if !(down(cfg.Failures, curC.A, curC.Start) || down(cfg.Failures, curC.B, curC.Start)) {
 			ex.events = append(ex.events, event{
 				at:  curC.Start,

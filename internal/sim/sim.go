@@ -217,18 +217,6 @@ func (c Config) validate() error {
 	if len(c.Interests) != n {
 		return fmt.Errorf("sim: %d interests for %d nodes", len(c.Interests), n)
 	}
-	if c.MsgSource == nil {
-		for i := 1; i < len(c.Messages); i++ {
-			if c.Messages[i].CreatedAt < c.Messages[i-1].CreatedAt {
-				return fmt.Errorf("sim: messages not sorted at index %d", i)
-			}
-		}
-		for i, m := range c.Messages {
-			if m.Origin < 0 || m.Origin >= n {
-				return fmt.Errorf("sim: message %d origin %d out of range", i, m.Origin)
-			}
-		}
-	}
 	for i, fl := range c.Failures {
 		if fl.Node < 0 || int(fl.Node) >= n {
 			return fmt.Errorf("sim: failure %d node %d out of range", i, fl.Node)

@@ -235,6 +235,47 @@ func TestRunStreamedValidation(t *testing.T) {
 	if _, err := Run(cfg, &probe{}); err == nil {
 		t.Error("streamed unsorted workload accepted")
 	}
+
+	// Contacts are checked the same way: a node beyond the population
+	// would index past the executor's tables, and a contact earlier than
+	// its predecessor would run the protocol's clock backwards.
+	cfg = baseConfig(t)
+	cfg.Trace = nil
+	cfg.Source = &contactList{nodes: 2, contacts: []trace.Contact{
+		{A: 0, B: 5, Start: time.Minute, End: 2 * time.Minute},
+	}}
+	if _, err := Run(cfg, &probe{}); err == nil {
+		t.Error("streamed out-of-range contact accepted")
+	}
+
+	cfg = baseConfig(t)
+	cfg.Trace = nil
+	cfg.Source = &contactList{nodes: 2, contacts: []trace.Contact{
+		{A: 0, B: 1, Start: 25 * time.Minute, End: 26 * time.Minute},
+		{A: 0, B: 1, Start: 5 * time.Minute, End: 6 * time.Minute},
+	}}
+	p := &probe{}
+	if _, err := Run(cfg, p); err == nil {
+		t.Errorf("streamed unsorted contacts accepted; clock ran %v", p.nowAtEvt)
+	}
+}
+
+// contactList is a trace.Source over a fixed contact list, with no
+// checks of its own.
+type contactList struct {
+	nodes    int
+	contacts []trace.Contact
+}
+
+func (l *contactList) Nodes() int { return l.nodes }
+
+func (l *contactList) Next() (trace.Contact, bool) {
+	if len(l.contacts) == 0 {
+		return trace.Contact{}, false
+	}
+	c := l.contacts[0]
+	l.contacts = l.contacts[1:]
+	return c, true
 }
 
 func TestRunInitError(t *testing.T) {
