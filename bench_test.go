@@ -232,14 +232,18 @@ func BenchmarkTCBFRoundTrip(b *testing.B) {
 func BenchmarkPartitionedTCBF(b *testing.B) {
 	cfg := tcbf.Config{M: 256, K: 4, Initial: 10, DecayPerMinute: 0.1}
 	p := tcbf.MustNewPartitioned(cfg, 4, 0)
-	keys := workload.NewTrendKeySet().Keys()
+	var keys []tcbf.PreKey
+	for _, k := range workload.NewTrendKeySet().Keys() {
+		keys = append(keys, tcbf.Precompute(k))
+	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := keys[i%len(keys)]
-		if err := p.Insert(k, 0); err != nil {
+		if err := p.InsertPre(k, 0); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := p.Contains(k, 0); err != nil {
+		if _, err := p.ContainsPre(k, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

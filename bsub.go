@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"bsub/internal/analysis"
-	"bsub/internal/bloom"
 	"bsub/internal/core"
 	"bsub/internal/engine"
 	"bsub/internal/experiments"
@@ -53,10 +52,6 @@ import (
 // --- Filters ---------------------------------------------------------------
 
 type (
-	// BloomFilter is the classic Bloom filter of Section III.
-	BloomFilter = bloom.Filter
-	// CountingBloomFilter is the Counting Bloom filter of Section III.
-	CountingBloomFilter = bloom.CountingFilter
 	// TCBF is the Temporal Counting Bloom Filter of Section IV.
 	TCBF = tcbf.Filter
 	// TCBFConfig parameterizes a TCBF.
@@ -77,12 +72,6 @@ const (
 	CountersUniform = tcbf.CountersUniform
 	CountersFull    = tcbf.CountersFull
 )
-
-// NewBloomFilter returns an empty classic Bloom filter.
-func NewBloomFilter(m, k int) (*BloomFilter, error) { return bloom.NewFilter(m, k) }
-
-// NewCountingBloomFilter returns an empty Counting Bloom filter.
-func NewCountingBloomFilter(m, k int) (*CountingBloomFilter, error) { return bloom.NewCounting(m, k) }
 
 // NewTCBF returns an empty Temporal Counting Bloom Filter with its clock at
 // now.

@@ -21,11 +21,13 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"bsub/internal/core"
 	"bsub/internal/experiments"
+	"bsub/internal/metrics"
 	"bsub/internal/protocol"
 	"bsub/internal/sim"
 	"bsub/internal/trace"
@@ -33,30 +35,36 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "bsub-sim:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run parses args, simulates one protocol over a trace file, a -preset or
+// a streamed -nodes population, and prints the report to stdout.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	fs.SetOutput(stderr)
 	var (
-		protoName = flag.String("protocol", "bsub", "protocol: bsub | push | pull")
-		preset    = flag.String("preset", "", "trace preset: haggle | mit3day | small (alternative to a trace file)")
-		ttl       = flag.Duration("ttl", 2*time.Hour, "message TTL (= maximum tolerable delay)")
-		df        = flag.Float64("df", -1, "B-SUB decaying factor per minute (-1 = derive from TTL via Eq. 5)")
-		bandwidth = flag.Int("bandwidth", sim.DefaultBandwidthBps, "effective link rate in bits/s")
-		seed      = flag.Int64("seed", 1, "random seed for workload and protocol")
-		nodes     = flag.Int("nodes", 0, "stream a synthetic scale trace with this many nodes (alternative to a trace file or -preset)")
-		workers   = flag.Int("workers", 0, "execution goroutines; 0 = 1; output is identical for any value")
-		epoch     = flag.Duration("epoch", 0, "sharding epoch width; 0 = default; output is identical for any value")
+		protoName = fs.String("protocol", "bsub", "protocol: bsub | push | pull")
+		preset    = fs.String("preset", "", "trace preset: haggle | mit3day | small (alternative to a trace file)")
+		ttl       = fs.Duration("ttl", 2*time.Hour, "message TTL (= maximum tolerable delay)")
+		df        = fs.Float64("df", -1, "B-SUB decaying factor per minute (-1 = derive from TTL via Eq. 5)")
+		bandwidth = fs.Int("bandwidth", sim.DefaultBandwidthBps, "effective link rate in bits/s")
+		seed      = fs.Int64("seed", 1, "random seed for workload and protocol")
+		nodes     = fs.Int("nodes", 0, "stream a synthetic scale trace with this many nodes (alternative to a trace file or -preset)")
+		workers   = fs.Int("workers", 0, "execution goroutines; 0 = 1; output is identical for any value")
+		epoch     = fs.Duration("epoch", 0, "sharding epoch width; 0 = default; output is identical for any value")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	switch {
 	case *nodes < 0 || *nodes == 1:
 		return fmt.Errorf("-nodes must be at least 2, got %d", *nodes)
-	case *nodes > 0 && (*preset != "" || flag.Arg(0) != ""):
+	case *nodes > 0 && (*preset != "" || fs.Arg(0) != ""):
 		return errors.New("-nodes streams its own trace; drop the -preset/file argument")
 	case *workers < 0 || *workers > sim.MaxWorkers:
 		return fmt.Errorf("-workers must be in [0,%d], got %d", sim.MaxWorkers, *workers)
@@ -64,17 +72,57 @@ func run() error {
 		return fmt.Errorf("-epoch must be non-negative, got %v", *epoch)
 	}
 
+	cfg := sim.Config{
+		TTL:          *ttl,
+		BandwidthBps: *bandwidth,
+		Seed:         *seed,
+		Workers:      *workers,
+		Epoch:        *epoch,
+	}
+	// bsubDefault is B-SUB's configuration when -df is not given; describe
+	// renders the trace and workload lines once the report is in.
+	var (
+		bsubDefault func() core.Config
+		describe    func(metrics.Report) (traceLine, workloadLine string)
+	)
 	if *nodes > 0 {
-		return runScale(*nodes, *workers, *epoch, *protoName, *ttl, *df, *bandwidth, *seed)
-	}
-
-	tr, err := loadTrace(*preset, flag.Arg(0), *seed)
-	if err != nil {
-		return err
-	}
-	fixture, err := experiments.NewFixture(tr.Name, tr, *seed)
-	if err != nil {
-		return err
+		// The contact and message streams are generated on the fly, so
+		// memory stays proportional to the population, not the event count.
+		ts, interests, msgs, err := experiments.ScaleStreams(*nodes, *seed)
+		if err != nil {
+			return err
+		}
+		cfg.Source, cfg.MsgSource, cfg.Interests = ts, msgs, interests
+		bsubDefault = func() core.Config {
+			// Eq. 5 derivation needs a materialized trace; use the tuned default.
+			const df = 0.1
+			fmt.Fprintf(stderr, "streamed trace: using default DF = %.4f/min (pass -df to override)\n", df)
+			return core.DefaultConfig(df)
+		}
+		describe = func(r metrics.Report) (string, string) {
+			return fmt.Sprintf("scale-%d (streamed, %d nodes, %d linked pairs, %d contacts)", *nodes, *nodes, ts.Links(), r.Contacts),
+				fmt.Sprintf("%d messages (streamed), TTL %v", r.Created, *ttl)
+		}
+	} else {
+		tr, err := loadTrace(*preset, fs.Arg(0), *seed)
+		if err != nil {
+			return err
+		}
+		fixture, err := experiments.NewFixture(tr.Name, tr, *seed)
+		if err != nil {
+			return err
+		}
+		cfg.Trace, cfg.Interests, cfg.Messages = fixture.Trace, fixture.Interests, fixture.Messages
+		bsubDefault = func() core.Config {
+			c := fixture.BSubConfig(*ttl)
+			fmt.Fprintf(stderr, "derived DF = %.4f/min for TTL %v (Eq. 5)\n", c.DecayPerMinute, *ttl)
+			return c
+		}
+		describe = func(metrics.Report) (string, string) {
+			s := tr.Stats()
+			return fmt.Sprintf("%s (%d nodes, %d contacts, span %v)", s.Name, s.Nodes, s.Contacts, s.Span.Round(time.Minute)),
+				fmt.Sprintf("%d messages, TTL %v", len(fixture.Messages), *ttl)
+		}
 	}
 
 	var proto sim.Protocol
@@ -84,86 +132,30 @@ func run() error {
 	case "pull":
 		proto = protocol.NewPull()
 	case "bsub":
-		var cfg core.Config
 		if *df >= 0 {
-			cfg = core.DefaultConfig(*df)
+			proto = core.New(core.DefaultConfig(*df))
 		} else {
-			cfg = fixture.BSubConfig(*ttl)
-			fmt.Fprintf(os.Stderr, "derived DF = %.4f/min for TTL %v (Eq. 5)\n", cfg.DecayPerMinute, *ttl)
+			proto = core.New(bsubDefault())
 		}
-		proto = core.New(cfg)
 	default:
 		return fmt.Errorf("unknown protocol %q", *protoName)
 	}
 
-	report, err := sim.Run(sim.Config{
-		Trace:        fixture.Trace,
-		Interests:    fixture.Interests,
-		Messages:     fixture.Messages,
-		TTL:          *ttl,
-		BandwidthBps: *bandwidth,
-		Seed:         *seed,
-		Workers:      *workers,
-		Epoch:        *epoch,
-	}, proto)
-	if err != nil {
-		return err
-	}
-
-	s := tr.Stats()
-	fmt.Printf("trace:     %s (%d nodes, %d contacts, span %v)\n",
-		s.Name, s.Nodes, s.Contacts, s.Span.Round(time.Minute))
-	fmt.Printf("workload:  %d messages, TTL %v\n", len(fixture.Messages), *ttl)
-	fmt.Printf("result:    %s\n", report)
-	fmt.Printf("traffic:   control %d B, data %d B\n", report.ControlBytes, report.DataBytes)
-	return nil
-}
-
-// runScale simulates a protocol over a streamed -nodes population: the
-// contact and message streams are generated on the fly, so memory stays
-// proportional to the population, not the event count.
-func runScale(nodes, workers int, epoch time.Duration, protoName string, ttl time.Duration, df float64, bandwidth int, seed int64) error {
-	ts, interests, msgs, err := experiments.ScaleStreams(nodes, seed)
-	if err != nil {
-		return err
-	}
-	var proto sim.Protocol
-	switch protoName {
-	case "push":
-		proto = protocol.NewPush()
-	case "pull":
-		proto = protocol.NewPull()
-	case "bsub":
-		if df < 0 {
-			df = 0.1 // Eq. 5 derivation needs a materialized trace; use the tuned default
-			fmt.Fprintf(os.Stderr, "streamed trace: using default DF = %.4f/min (pass -df to override)\n", df)
-		}
-		proto = core.New(core.DefaultConfig(df))
-	default:
-		return fmt.Errorf("unknown protocol %q", protoName)
-	}
 	started := time.Now()
-	report, err := sim.Run(sim.Config{
-		Source:       ts,
-		MsgSource:    msgs,
-		Interests:    interests,
-		TTL:          ttl,
-		BandwidthBps: bandwidth,
-		Seed:         seed,
-		Workers:      workers,
-		Epoch:        epoch,
-	}, proto)
+	report, err := sim.Run(cfg, proto)
 	if err != nil {
 		return err
 	}
 	wall := time.Since(started)
-	fmt.Printf("trace:     scale-%d (streamed, %d nodes, %d linked pairs, %d contacts)\n",
-		nodes, nodes, ts.Links(), report.Contacts)
-	fmt.Printf("workload:  %d messages (streamed), TTL %v\n", report.Created, ttl)
-	fmt.Printf("result:    %s\n", report)
-	fmt.Printf("traffic:   control %d B, data %d B\n", report.ControlBytes, report.DataBytes)
-	fmt.Printf("engine:    %d workers, %v wall, %.0f contacts/s\n",
-		max(workers, 1), wall.Round(time.Millisecond), float64(report.Contacts)/wall.Seconds())
+	traceLine, workloadLine := describe(report)
+	fmt.Fprintf(stdout, "trace:     %s\n", traceLine)
+	fmt.Fprintf(stdout, "workload:  %s\n", workloadLine)
+	fmt.Fprintf(stdout, "result:    %s\n", report)
+	fmt.Fprintf(stdout, "traffic:   control %d B, data %d B\n", report.ControlBytes, report.DataBytes)
+	if *nodes > 0 {
+		fmt.Fprintf(stdout, "engine:    %d workers, %v wall, %.0f contacts/s\n",
+			max(*workers, 1), wall.Round(time.Millisecond), float64(report.Contacts)/wall.Seconds())
+	}
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package bsub_test
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,24 +13,43 @@ import (
 // so the public API cannot silently drift from the internals.
 func TestFacadeSurface(t *testing.T) {
 	// Filters.
-	bf, err := bsub.NewBloomFilter(256, 4)
+	cfg := bsub.TCBFConfig{M: 256, K: 4, Initial: 10, DecayPerMinute: 1}
+
+	// B-SUB's Bloom filter is the TCBF's counter-less encoding: the round
+	// trip keeps every key and answers like the original.
+	bf, err := bsub.NewTCBF(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bf.Insert("k")
-	if !bf.Contains("k") {
-		t.Error("bloom filter lost key")
+	for i := 0; i < 20; i++ {
+		if err := bf.Insert(fmt.Sprintf("member-%d", i), 0); err != nil {
+			t.Fatal(err)
+		}
 	}
-	cbf, err := bsub.NewCountingBloomFilter(256, 4)
+	bits, err := bf.Encode(bsub.CountersNone)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cbf.Insert("k")
-	if err := cbf.Delete("k"); err != nil {
-		t.Errorf("counting delete: %v", err)
+	bfBack, err := bsub.DecodeTCBF(bits, cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if ok, err := bfBack.Contains(fmt.Sprintf("member-%d", i), 0); err != nil || !ok {
+			t.Errorf("counter-less round trip lost member-%d (err %v)", i, err)
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		k := fmt.Sprintf("absent-%d", i)
+		want, err := bf.Contains(k, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := bfBack.Contains(k, 0); err != nil || got != want {
+			t.Errorf("counter-less round trip answers %q with %v, original %v (err %v)", k, got, want, err)
+		}
 	}
 
-	cfg := bsub.TCBFConfig{M: 256, K: 4, Initial: 10, DecayPerMinute: 1}
 	tf, err := bsub.NewTCBF(cfg, 0)
 	if err != nil {
 		t.Fatal(err)

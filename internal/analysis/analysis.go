@@ -5,8 +5,9 @@
 // collection (Eq. 7), the Section VI-C memory model (Eq. 8), and the
 // optimal filter-count search (Eq. 9–10).
 //
-// All functions are pure and deterministic; they are validated against the
-// empirical behaviour of internal/bloom and internal/tcbf in the tests.
+// All functions are pure and deterministic; the tests validate Eq. 1
+// against the empirical behaviour of a TCBF at DF 0, which is a classic
+// Bloom filter.
 package analysis
 
 import (

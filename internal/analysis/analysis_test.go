@@ -7,7 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"bsub/internal/bloom"
+	"bsub/internal/tcbf"
 )
 
 func TestFPRPaperSetting(t *testing.T) {
@@ -72,15 +72,22 @@ func TestKeysFromFillRatioInvertsEq3(t *testing.T) {
 
 func TestFPRMatchesEmpiricalBloom(t *testing.T) {
 	// Validate Eq. 1 against a real filter: measured FPR over many absent
-	// probes should track the formula.
+	// probes should track the formula. A TCBF at DF 0 never decays, so its
+	// existential query is the classic Bloom filter's.
 	m, k, n := 1024, 4, 80
-	f := bloom.MustNewFilter(m, k)
+	f := tcbf.MustNew(tcbf.Config{M: m, K: k, Initial: 1}, 0)
 	for i := 0; i < n; i++ {
-		f.Insert(fmt.Sprintf("member-%d", i))
+		if err := f.Insert(fmt.Sprintf("member-%d", i), 0); err != nil {
+			t.Fatal(err)
+		}
 	}
 	fp, probes := 0, 30000
 	for i := 0; i < probes; i++ {
-		if f.Contains(fmt.Sprintf("absent-%d", i)) {
+		ok, err := f.Contains(fmt.Sprintf("absent-%d", i), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
 			fp++
 		}
 	}

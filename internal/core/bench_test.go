@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"bsub/internal/sim"
+	"bsub/internal/tcbf"
 	"bsub/internal/workload"
 )
 
@@ -28,13 +29,19 @@ func newAdapterContactRig(tb testing.TB, mode BrokerMergeMode) (p *BSub, contact
 	}
 	keys := workload.NewTrendKeySet().Keys()
 	relayed := [2][]workload.Key{keys[:24], keys[len(keys)-24:]}
+	var pres [2][]tcbf.PreKey
+	for i, ks := range relayed {
+		for _, k := range ks {
+			pres[i] = append(pres[i], tcbf.Precompute(k))
+		}
+	}
 	reseed = func() {
 		for i := range p.nodes {
 			n := &p.nodes[i]
 			n.eng.Demote()
 			n.eng.Promote(now)
 			p.syncRole(n, now)
-			if err := n.eng.Relay().InsertAll(relayed[i], now); err != nil {
+			if err := n.eng.Relay().InsertAllPre(pres[i], now); err != nil {
 				tb.Fatal(err)
 			}
 			n.oracle.start(now)

@@ -8,6 +8,7 @@ import (
 
 	"bsub/internal/protocol"
 	"bsub/internal/sim"
+	"bsub/internal/tcbf"
 	"bsub/internal/trace"
 	"bsub/internal/tracegen"
 	"bsub/internal/workload"
@@ -126,7 +127,7 @@ func TestInterestPropagationReachesBroker(t *testing.T) {
 		brokers++
 		relay := b.RelayFilter(id)
 		peer := 1 - id
-		ok, err := relay.Contains(string([]workload.Key{"alpha", "beta"}[peer]), 50*time.Minute)
+		ok, err := relay.ContainsPre(tcbf.Precompute(string([]workload.Key{"alpha", "beta"}[peer])), 50*time.Minute)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -650,9 +651,10 @@ func TestMeanBrokerFractionNearPaperRegime(t *testing.T) {
 func TestInjectionFPRTracksTheory(t *testing.T) {
 	// The ground-truth oracle classifies each producer-to-broker
 	// replication as genuine or falsely injected. The measured injection
-	// FPR must be a sane probability and stay within shouting distance of
-	// the Eq. 1 worst case for the evaluation filter (0.04 for 38 keys),
-	// allowing slack for reinforcement dynamics.
+	// FPR must be a sane probability and a minority of the replications.
+	// It is the false share of the relay filter's positives, FP/(FP+TP),
+	// not Eq. 1's per-query rate, so the ceiling is a sanity bound, not a
+	// check of the model.
 	tr, err := tracegen.Generate(tracegen.Small(101))
 	if err != nil {
 		t.Fatal(err)
@@ -684,10 +686,8 @@ func TestInjectionFPRTracksTheory(t *testing.T) {
 	if inj < 0 || inj > 1 {
 		t.Fatalf("injection FPR %g out of range", inj)
 	}
-	// With 38 keys in a 256/4 filter the worst-case matching FPR is 0.04;
-	// measured injections should not be an order of magnitude beyond it.
 	if inj > 0.3 {
-		t.Errorf("injection FPR %.4f implausibly high (theory worst case 0.04)", inj)
+		t.Errorf("injection FPR %.4f implausibly high: more than 0.3 of replications falsely injected", inj)
 	}
 }
 
@@ -707,14 +707,14 @@ func TestOracleMirrorsRelayDecay(t *testing.T) {
 		t.Fatalf("oracle missing planted interest: %v", n.oracle.entries)
 	}
 	relay := n.eng.Relay()
-	ok, err := relay.Contains("k", 0)
+	ok, err := relay.ContainsPre(tcbf.Precompute("k"), 0)
 	if err != nil || !ok {
 		t.Fatal("relay filter missing planted interest")
 	}
 
 	// DF = 0.1/min, C = 10 -> lifetime 100 minutes.
 	later := 101 * time.Minute
-	ok, err = relay.Contains("k", later)
+	ok, err = relay.ContainsPre(tcbf.Precompute("k"), later)
 	if err != nil {
 		t.Fatal(err)
 	}

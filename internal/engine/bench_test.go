@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"bsub/internal/tcbf"
 	"bsub/internal/workload"
 )
 
@@ -64,8 +65,10 @@ func newContactRig(tb testing.TB, c contactCase) (contact, reseed func()) {
 	right.Subscribe("sports")
 
 	var topics []workload.Key
+	var pres []tcbf.PreKey
 	for i := 0; i < 32; i++ {
 		topics = append(topics, workload.Key(fmt.Sprintf("topic-%02d", i)))
+		pres = append(pres, tcbf.Precompute(topics[i]))
 	}
 	rightAt := now
 	if c.forward {
@@ -78,12 +81,12 @@ func newContactRig(tb testing.TB, c contactCase) (contact, reseed func()) {
 			left.Demote()
 			left.Promote(now)
 			for r := 0; r < 3; r++ {
-				if err := left.Relay().InsertAll(topics, now); err != nil {
+				if err := left.Relay().InsertAllPre(pres, now); err != nil {
 					tb.Fatal(err)
 				}
 			}
 		}
-		if err := right.Relay().InsertAll(topics, rightAt); err != nil {
+		if err := right.Relay().InsertAllPre(pres, rightAt); err != nil {
 			tb.Fatal(err)
 		}
 	}

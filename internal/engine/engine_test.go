@@ -213,7 +213,7 @@ func TestRetuneDFFeedbackDirection(t *testing.T) {
 	// Saturate the relay filter well past the target FPR.
 	genuine := tcbf.MustNewPartitioned(cfg.FilterConfig(), 1, 0)
 	for _, k := range workload.NewTrendKeySet().Keys() {
-		if err := genuine.Insert(k, 0); err != nil {
+		if err := genuine.InsertPre(tcbf.Precompute(k), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -299,7 +299,7 @@ func TestGenuinePropagationRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range []string{"alpha", "beta"} {
-		ok, err := broker.Relay().Contains(k, time.Minute)
+		ok, err := broker.Relay().ContainsPre(tcbf.Precompute(k), time.Minute)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -212,7 +212,7 @@ func IsolatedKeys(t *testing.T, cfg tcbf.Config, partitions int) map[string]bool
 	solo := make(map[string]int, len(Keys))
 	for _, k := range Keys {
 		f := tcbf.MustNewPartitioned(cfg, partitions, 0)
-		if err := f.Insert(k, 0); err != nil {
+		if err := f.InsertPre(tcbf.Precompute(k), 0); err != nil {
 			t.Fatalf("isolation probe insert %q: %v", k, err)
 		}
 		solo[k] = f.SetBits()
@@ -222,13 +222,13 @@ func IsolatedKeys(t *testing.T, cfg tcbf.Config, partitions int) map[string]bool
 		f := tcbf.MustNewPartitioned(cfg, partitions, 0)
 		for _, other := range Keys {
 			if other != k {
-				if err := f.Insert(other, 0); err != nil {
+				if err := f.InsertPre(tcbf.Precompute(other), 0); err != nil {
 					t.Fatalf("isolation probe insert %q: %v", other, err)
 				}
 			}
 		}
 		rest := f.SetBits()
-		if err := f.Insert(k, 0); err != nil {
+		if err := f.InsertPre(tcbf.Precompute(k), 0); err != nil {
 			t.Fatalf("isolation probe insert %q: %v", k, err)
 		}
 		if f.SetBits() == rest+solo[k] {
@@ -376,13 +376,9 @@ func (st *state) step(op, arg byte) {
 			st.fail("merge", "mmerge: %v", err)
 		}
 		st.r1.merge(st.r2, st.now, false)
-	case 5: // query surface consistency: plain, precomputed, batched
+	case 5: // query surface consistency: single and batched
 		pre := tcbf.Precompute(key)
-		got, err := st.f1.Contains(key, st.now)
-		if err != nil {
-			st.fail("query", "contains: %v", err)
-		}
-		gotPre, err := st.f1.ContainsPre(pre, st.now)
+		got, err := st.f1.ContainsPre(pre, st.now)
 		if err != nil {
 			st.fail("query", "contains pre: %v", err)
 		}
@@ -390,9 +386,9 @@ func (st *state) step(op, arg byte) {
 		if err != nil {
 			st.fail("query", "contains any pre: %v", err)
 		}
-		if got != gotPre || got != gotAny {
+		if got != gotAny {
 			st.fail("query-surface-consistency",
-				"contains %q = %v / pre %v / any %v", key, got, gotPre, gotAny)
+				"contains %q = %v / any %v", key, got, gotAny)
 		}
 	case 6: // preferential query, f2 as peer
 		got, err := tcbf.PreferencePartitionedPre(tcbf.Precompute(key), st.f2, st.f1, st.now)

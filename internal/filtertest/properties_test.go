@@ -32,14 +32,14 @@ func TestPropertyNoFalseNegatives(t *testing.T) {
 		t.Run(sub.Name, func(t *testing.T) {
 			f := newSubjectFilter(t, sub, t0)
 			for _, k := range Keys {
-				if err := f.Insert(k, t0); err != nil {
+				if err := f.InsertPre(tcbf.Precompute(k), t0); err != nil {
 					t.Fatalf("%s: insert %q: %v", sub.Name, k, err)
 				}
 			}
 			// Initial=3, DF=1/min: every key outlives the first 2 minutes.
 			for _, dt := range []time.Duration{0, 30 * time.Second, 2 * time.Minute} {
 				for _, k := range Keys {
-					ok, err := f.Contains(k, t0+dt)
+					ok, err := f.ContainsPre(tcbf.Precompute(k), t0+dt)
 					if err != nil {
 						t.Fatalf("%s: contains %q: %v", sub.Name, k, err)
 					}
@@ -66,7 +66,7 @@ func TestPropertyMergeCommutative(t *testing.T) {
 					f := newSubjectFilter(t, sub, t0)
 					for r := 0; r < reps; r++ {
 						for _, k := range keys {
-							if err := f.Insert(k, t0); err != nil {
+							if err := f.InsertPre(tcbf.Precompute(k), t0); err != nil {
 								t.Fatalf("%s: insert %q: %v", sub.Name, k, err)
 							}
 						}
@@ -122,7 +122,7 @@ func TestPropertyWireRoundTrip(t *testing.T) {
 		t.Run(sub.Name, func(t *testing.T) {
 			f := newSubjectFilter(t, sub, t0)
 			for _, k := range Keys[:8] {
-				if err := f.Insert(k, t0); err != nil {
+				if err := f.InsertPre(tcbf.Precompute(k), t0); err != nil {
 					t.Fatalf("%s: insert %q: %v", sub.Name, k, err)
 				}
 			}
@@ -137,11 +137,11 @@ func TestPropertyWireRoundTrip(t *testing.T) {
 					t.Fatalf("%s: decode mode %d: %v", sub.Name, mode, err)
 				}
 				for _, k := range Keys {
-					was, err := f.Contains(k, now)
+					was, err := f.ContainsPre(tcbf.Precompute(k), now)
 					if err != nil {
 						t.Fatal(err)
 					}
-					is, err := cp.Contains(k, now)
+					is, err := cp.ContainsPre(tcbf.Precompute(k), now)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -171,7 +171,7 @@ func TestPropertyWireRoundTrip(t *testing.T) {
 				}
 				// A decoded filter carries a peer's interests; genuine
 				// inserts must be refused uniformly.
-				if err := cp.Insert("genuine-after-decode", now); err == nil {
+				if err := cp.InsertPre(tcbf.Precompute("genuine-after-decode"), now); err == nil {
 					t.Errorf("%s: wire-round-trip: decoded filter accepted a genuine insert (mode %d)",
 						sub.Name, mode)
 				}
@@ -189,7 +189,7 @@ func TestPropertyDecayMonotone(t *testing.T) {
 		t.Run(sub.Name, func(t *testing.T) {
 			f := newSubjectFilter(t, sub, t0)
 			for _, k := range Keys {
-				if err := f.Insert(k, t0); err != nil {
+				if err := f.InsertPre(tcbf.Precompute(k), t0); err != nil {
 					t.Fatalf("%s: insert %q: %v", sub.Name, k, err)
 				}
 			}
@@ -214,7 +214,7 @@ func TestPropertyDecayMonotone(t *testing.T) {
 			// Initial=3, DF=1/min: all counters are zero from 3min on; the
 			// loop above ends at +4min, so membership must be gone now.
 			for _, k := range Keys {
-				ok, err := f.Contains(k, t0+4*time.Minute)
+				ok, err := f.ContainsPre(tcbf.Precompute(k), t0+4*time.Minute)
 				if err != nil {
 					t.Fatal(err)
 				}

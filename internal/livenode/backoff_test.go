@@ -9,10 +9,11 @@ import (
 
 	"bsub/internal/core"
 	"bsub/internal/testutil"
+	"bsub/internal/xrand"
 )
 
 // TestJitteredBackoffSpread is the regression test for the pure-doubling
-// backoff: every retry delay must land inside the equal-jitter window
+// backoff: every Meet retry delay must land inside the equal-jitter window
 // [backoff/2, backoff), and the samples must actually spread instead of
 // collapsing onto the ceiling.
 func TestJitteredBackoffSpread(t *testing.T) {
@@ -21,7 +22,7 @@ func TestJitteredBackoffSpread(t *testing.T) {
 	seen := map[time.Duration]bool{}
 	var lo, hi time.Duration = backoff, 0
 	for i := 0; i < 1000; i++ {
-		d := jitteredBackoff(backoff, rng.Float64())
+		d := xrand.JitteredBackoff(backoff, rng.Float64())
 		if d < backoff/2 || d >= backoff {
 			t.Fatalf("delay %v outside the jitter window [%v, %v)", d, backoff/2, backoff)
 		}

@@ -50,8 +50,10 @@ func advertBytes(t *testing.T, n *Node, now time.Duration, keys ...workload.Key)
 		parts = 1
 	}
 	f := tcbf.MustNewPartitioned(n.filterCfg, parts, now)
-	if err := f.InsertAll(keys, now); err != nil {
-		t.Fatal(err)
+	for _, k := range keys {
+		if err := f.InsertPre(tcbf.Precompute(k), now); err != nil {
+			t.Fatal(err)
+		}
 	}
 	out, err := f.Encode(tcbf.CountersNone)
 	if err != nil {

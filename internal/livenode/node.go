@@ -14,6 +14,7 @@ import (
 	"bsub/internal/engine"
 	"bsub/internal/tcbf"
 	"bsub/internal/workload"
+	"bsub/internal/xrand"
 )
 
 // Delivery is a message that reached this node's subscriptions.
@@ -438,16 +439,6 @@ var ErrBusy = errors.New("livenode: node at session capacity")
 // instead of joining the session; the caller may retry.
 var ErrPeerBusy = errors.New("livenode: peer at session capacity")
 
-// jitteredBackoff maps a backoff ceiling and a uniform random sample in
-// [0, 1) to a retry delay drawn uniformly from [backoff/2, backoff) —
-// equal jitter. Pure doubling would synchronize every dialer that failed
-// against the same busy peer into a thundering herd that refinds the peer
-// busy in lockstep; the jitter spreads the herd across half the window.
-func jitteredBackoff(backoff time.Duration, sample float64) time.Duration {
-	half := backoff / 2
-	return half + time.Duration(sample*float64(half))
-}
-
 // Meet dials a peer and runs one contact session, mirroring two devices
 // coming into Bluetooth range. Transient failures — a failed dial, this
 // node at capacity, or the peer answering BUSY — are retried up to
@@ -461,7 +452,7 @@ func (n *Node) Meet(addr string) error {
 	for attempt := 0; attempt < n.cfg.MeetAttempts; attempt++ {
 		if attempt > 0 {
 			n.meetRetried()
-			timer := time.NewTimer(jitteredBackoff(backoff, rand.Float64()))
+			timer := time.NewTimer(xrand.JitteredBackoff(backoff, rand.Float64()))
 			select {
 			case <-n.closed:
 				timer.Stop()

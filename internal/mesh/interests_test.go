@@ -17,7 +17,7 @@ func encodeInterest(t *testing.T, cfg tcbf.Config, parts int, keys []string, now
 		t.Fatal(err)
 	}
 	for _, k := range keys {
-		if err := f.Insert(k, now); err != nil {
+		if err := f.InsertPre(tcbf.Precompute(k), now); err != nil {
 			t.Fatal(err)
 		}
 	}

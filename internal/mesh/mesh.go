@@ -45,6 +45,7 @@ import (
 
 	"bsub/internal/livenode"
 	"bsub/internal/workload"
+	"bsub/internal/xrand"
 )
 
 // Defaults for the mesh knobs; selected when the corresponding Config
@@ -325,7 +326,7 @@ func (m *Mesh) bootstrap(seeds []string) {
 			if m.Join(addr) == nil {
 				break
 			}
-			timer := time.NewTimer(jitteredDelay(backoff, rng.Float64()))
+			timer := time.NewTimer(xrand.JitteredBackoff(backoff, rng.Float64()))
 			select {
 			case <-m.closed:
 				timer.Stop()

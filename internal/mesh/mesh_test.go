@@ -12,6 +12,7 @@ import (
 	"bsub/internal/core"
 	"bsub/internal/livenode"
 	"bsub/internal/testutil"
+	"bsub/internal/xrand"
 )
 
 // fakeClock is a controllable time base for driving the tick machinery
@@ -383,15 +384,18 @@ func TestEnqueueCoalescesOnOverflow(t *testing.T) {
 	}
 }
 
+// TestJitteredDelaySpread checks the reconnect delays the mesh draws: the
+// window's edges and midpoint land in [backoff/2, backoff) and distinct
+// samples give distinct delays.
 func TestJitteredDelaySpread(t *testing.T) {
 	const backoff = 100 * time.Millisecond
 	for _, sample := range []float64{0, 0.25, 0.5, 0.999999} {
-		d := jitteredDelay(backoff, sample)
+		d := xrand.JitteredBackoff(backoff, sample)
 		if d < backoff/2 || d >= backoff {
-			t.Errorf("jitteredDelay(%v, %v) = %v, want in [%v, %v)", backoff, sample, d, backoff/2, backoff)
+			t.Errorf("JitteredBackoff(%v, %v) = %v, want in [%v, %v)", backoff, sample, d, backoff/2, backoff)
 		}
 	}
-	if jitteredDelay(backoff, 0) == jitteredDelay(backoff, 0.9) {
+	if xrand.JitteredBackoff(backoff, 0) == xrand.JitteredBackoff(backoff, 0.9) {
 		t.Error("jitter samples collapse to one delay")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"bsub/internal/livenode"
+	"bsub/internal/xrand"
 )
 
 // job is one unit of outbound work for a peer worker.
@@ -182,7 +183,7 @@ func (w *peerWorker) perform(j job) {
 			return
 		}
 		w.m.bumpReconnects()
-		delay := jitteredDelay(backoff, w.rng.Float64())
+		delay := xrand.JitteredBackoff(backoff, w.rng.Float64())
 		timer := time.NewTimer(delay)
 		select {
 		case <-w.quit:
@@ -194,12 +195,4 @@ func (w *peerWorker) perform(j job) {
 			backoff *= 2
 		}
 	}
-}
-
-// jitteredDelay draws a delay uniformly from [backoff/2, backoff): equal
-// jitter, so workers that failed against the same peer in the same
-// instant do not retry in the same instant too.
-func jitteredDelay(backoff time.Duration, sample float64) time.Duration {
-	half := backoff / 2
-	return half + time.Duration(sample*float64(half))
 }

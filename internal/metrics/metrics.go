@@ -246,8 +246,11 @@ func (r Report) ForwardingsPerDelivered() float64 {
 }
 
 // InjectionFPR returns falsely injected / all producer-to-broker
-// replications: the empirical counterpart of the Eq. 1 relay-filter
-// false-positive rate (Section VI-B).
+// replications. A replication happens only after the broker's relay
+// advert matched the message, so this is the false share of the filter's
+// positives, FP/(FP+TP). It is not Eq. 1's false-positive rate, which is
+// FP/(FP+TN) over queries for absent keys (Section VI-B), and the two
+// must not be compared directly.
 func (r Report) InjectionFPR() float64 {
 	if r.Replications == 0 {
 		return 0

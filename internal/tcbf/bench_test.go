@@ -95,7 +95,7 @@ func BenchmarkDecodeInto(b *testing.B) {
 func BenchmarkPartitionedEncodeTo(b *testing.B) {
 	p := MustNewPartitioned(Config{M: 256, K: 4, Initial: 10, DecayPerMinute: 1}, 4, 0)
 	for i := 0; i < 64; i++ {
-		if err := p.Insert(fmt.Sprintf("key-%03d", i), 0); err != nil {
+		if err := p.InsertPre(Precompute(fmt.Sprintf("key-%03d", i)), 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -139,7 +139,7 @@ func BenchmarkPopulationCodec(b *testing.B) {
 				if j%3 == 0 {
 					target = boost
 				}
-				if err := target.Insert(key, now+time.Duration(j)*tick); err != nil {
+				if err := target.InsertPre(Precompute(key), now+time.Duration(j)*tick); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -18,6 +18,7 @@ const (
 	// CountersNone strips counters entirely: the receiver only needs
 	// membership, e.g. a broker requesting messages from a producer. The
 	// paper: "it does not need to report the counters, which cuts the size".
+	// This form is the classic Bloom filter of Section III.
 	CountersNone CounterMode = iota + 1
 	// CountersUniform transmits a single counter value shared by all set
 	// bits, e.g. a freshly built genuine filter whose counters all equal C.

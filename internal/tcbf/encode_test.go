@@ -436,6 +436,9 @@ func TestDecodeLocationList(t *testing.T) {
 		if got := f.SetBits(); got != len(tc.pos) {
 			t.Fatalf("m=%d: %d set bits, want %d", tc.m, got, len(tc.pos))
 		}
+		if got, want := f.FillRatio(), float64(len(tc.pos))/float64(tc.m); got != want {
+			t.Errorf("m=%d: fill ratio %g, want %g", tc.m, got, want)
+		}
 		for _, p := range tc.pos {
 			if f.Counter(p) != 10 {
 				t.Fatalf("m=%d: counter[%d] = %v, want 10", tc.m, p, f.Counter(p))
@@ -461,10 +464,7 @@ func TestDecodeLocationList(t *testing.T) {
 func TestEncodeIsObservablyPure(t *testing.T) {
 	cfg := Config{M: 128, K: 4, Initial: 10, DecayPerMinute: 1}
 	keys := []string{"a", "b", "c", "d", "e", "f"}
-	pres := make([]PreKey, len(keys))
-	for i, k := range keys {
-		pres[i] = Precompute(k)
-	}
+	pres := preKeys(keys)
 	build := func() (*Filter, *Partitioned, *Filter, *Partitioned) {
 		f, p := MustNew(cfg, 0), MustNewPartitioned(cfg, 3, 0)
 		of, op := MustNew(cfg, 0), MustNewPartitioned(cfg, 3, 0)
@@ -477,7 +477,7 @@ func TestEncodeIsObservablyPure(t *testing.T) {
 			if err := dst.Insert(k, at); err != nil {
 				t.Fatal(err)
 			}
-			if err := pdst.Insert(k, at); err != nil {
+			if err := pdst.InsertPre(pres[i], at); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -383,12 +383,8 @@ func (st *modelState) step(t *testing.T, op, arg byte) {
 		if err != nil {
 			t.Fatalf("contains any pre: %v", err)
 		}
-		gotAll, err := st.f1.ContainsAllPre(batch, st.now)
-		if err != nil {
-			t.Fatalf("contains all pre: %v", err)
-		}
-		if want := st.r1.contains(key, st.now); got != want || gotPre != want || gotAny != want || gotAll != want {
-			t.Fatalf("contains %q = %v/%v/%v/%v, model %v", key, got, gotPre, gotAny, gotAll, want)
+		if want := st.r1.contains(key, st.now); got != want || gotPre != want || gotAny != want {
+			t.Fatalf("contains %q = %v/%v/%v, model %v", key, got, gotPre, gotAny, want)
 		}
 	case 6: // min-counter query
 		got, err := st.f1.MinCounter(key, st.now)
@@ -634,12 +630,12 @@ func TestPartitionedEncodeMatchesReference(t *testing.T) {
 			key := modelKeys[rng.Intn(len(modelKeys))]
 			switch op := rng.Intn(7); {
 			case op <= 1 && !refs[0].merged:
-				if err := p.Insert(key, now); err != nil {
+				if err := p.InsertPre(Precompute(key), now); err != nil {
 					t.Fatal(err)
 				}
 				refs[refRoute(key, h)].insert(key, now)
 			case op == 2:
-				if err := donor.Insert(key, now); err != nil {
+				if err := donor.InsertPre(Precompute(key), now); err != nil {
 					t.Fatal(err)
 				}
 				donorRefs[refRoute(key, h)].insert(key, now)

@@ -80,18 +80,8 @@ func routeHash(key string) uint32 {
 	return h
 }
 
-// route selects the partition for a key with a hash independent of the
-// filters' bit hashing (different FNV offset via a prefix byte).
-//
-//bsub:hotpath
-func (p *Partitioned) route(key string) int {
-	if len(p.parts) == 1 {
-		return 0
-	}
-	return int(routeHash(key) % uint32(len(p.parts)))
-}
-
-// routePre selects the partition for a precomputed key.
+// routePre selects the partition for a precomputed key, by a hash
+// independent of the filters' bit hashing (routeHash's prefix byte).
 //
 //bsub:hotpath
 func (p *Partitioned) routePre(k PreKey) int {
@@ -101,26 +91,11 @@ func (p *Partitioned) routePre(k PreKey) int {
 	return int(k.route % uint32(len(p.parts)))
 }
 
-// Insert adds key to its partition.
-func (p *Partitioned) Insert(key string, now time.Duration) error {
-	return p.parts[p.route(key)].Insert(key, now)
-}
-
-// InsertPre is Insert for a precomputed key.
+// InsertPre adds a precomputed key to its partition.
 //
 //bsub:hotpath
 func (p *Partitioned) InsertPre(k PreKey, now time.Duration) error {
 	return p.parts[p.routePre(k)].InsertPre(k, now)
-}
-
-// InsertAll inserts each key.
-func (p *Partitioned) InsertAll(keys []string, now time.Duration) error {
-	for _, k := range keys {
-		if err := p.Insert(k, now); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // InsertAllPre inserts each precomputed key.
@@ -135,12 +110,8 @@ func (p *Partitioned) InsertAllPre(keys []PreKey, now time.Duration) error {
 	return nil
 }
 
-// Contains answers the existential query against key's partition.
-func (p *Partitioned) Contains(key string, now time.Duration) (bool, error) {
-	return p.parts[p.route(key)].Contains(key, now)
-}
-
-// ContainsPre is Contains for a precomputed key.
+// ContainsPre answers the existential query against a precomputed
+// key's partition.
 //
 //bsub:hotpath
 func (p *Partitioned) ContainsPre(k PreKey, now time.Duration) (bool, error) {
@@ -161,26 +132,8 @@ func (p *Partitioned) ContainsAnyPre(keys []PreKey, now time.Duration) (bool, er
 	return false, nil
 }
 
-// ContainsAllPre reports whether every precomputed key may be in the
-// filter at time now, routing each key to its partition.
-//
-//bsub:hotpath
-func (p *Partitioned) ContainsAllPre(keys []PreKey, now time.Duration) (bool, error) {
-	for i := range keys {
-		ok, err := p.ContainsPre(keys[i], now)
-		if err != nil || !ok {
-			return false, err
-		}
-	}
-	return true, nil
-}
-
-// MinCounter returns the key's minimum counter in its partition.
-func (p *Partitioned) MinCounter(key string, now time.Duration) (float64, error) {
-	return p.parts[p.route(key)].MinCounter(key, now)
-}
-
-// MinCounterPre is MinCounter for a precomputed key.
+// MinCounterPre returns a precomputed key's minimum counter in its
+// partition.
 //
 //bsub:hotpath
 func (p *Partitioned) MinCounterPre(k PreKey, now time.Duration) (float64, error) {
@@ -254,17 +207,8 @@ func (p *Partitioned) MMerge(other *Partitioned, now time.Duration) error {
 	return nil
 }
 
-// PreferencePartitioned runs the Section IV-A preferential query against
-// the key's partition in both filters.
-func PreferencePartitioned(key string, peer, self *Partitioned, now time.Duration) (float64, error) {
-	if err := self.checkCompatible(peer); err != nil {
-		return 0, err
-	}
-	i := self.route(key)
-	return Preference(key, peer.parts[i], self.parts[i], now)
-}
-
-// PreferencePartitionedPre is PreferencePartitioned for a precomputed key.
+// PreferencePartitionedPre runs the Section IV-A preferential query for a
+// precomputed key against the key's partition in both filters.
 //
 //bsub:hotpath
 func PreferencePartitionedPre(k PreKey, peer, self *Partitioned, now time.Duration) (float64, error) {

@@ -93,14 +93,23 @@ func TestNewPartitionedAcceptsDefaults(t *testing.T) {
 	}
 }
 
+// preKeys precomputes every key, in order.
+func preKeys(keys []string) []PreKey {
+	out := make([]PreKey, len(keys))
+	for i, k := range keys {
+		out[i] = Precompute(k)
+	}
+	return out
+}
+
 func TestPartitionedInsertContains(t *testing.T) {
 	p := MustNewPartitioned(testConfig(), 4, 0)
 	keys := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
-	if err := p.InsertAll(keys, 0); err != nil {
+	if err := p.InsertAllPre(preKeys(keys), 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range keys {
-		ok, err := p.Contains(k, 0)
+		ok, err := p.ContainsPre(Precompute(k), 0)
 		if err != nil || !ok {
 			t.Errorf("lost %q", k)
 		}
@@ -112,8 +121,8 @@ func TestPartitionedRoutingIsStableAndSpread(t *testing.T) {
 	used := make(map[int]int)
 	for i := 0; i < 64; i++ {
 		k := fmt.Sprintf("key-%d", i)
-		r := p.route(k)
-		if r != p.route(k) {
+		r := p.routePre(Precompute(k))
+		if r != p.routePre(Precompute(k)) {
 			t.Fatalf("routing unstable for %q", k)
 		}
 		if r < 0 || r >= 4 {
@@ -128,10 +137,10 @@ func TestPartitionedRoutingIsStableAndSpread(t *testing.T) {
 
 func TestPartitionedDecay(t *testing.T) {
 	p := MustNewPartitioned(testConfig(), 3, 0) // C=10, DF=1/min
-	if err := p.Insert("fleeting", 0); err != nil {
+	if err := p.InsertPre(Precompute("fleeting"), 0); err != nil {
 		t.Fatal(err)
 	}
-	ok, err := p.Contains("fleeting", 11*time.Minute)
+	ok, err := p.ContainsPre(Precompute("fleeting"), 11*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,13 +153,13 @@ func TestPartitionedMerges(t *testing.T) {
 	cfg := testConfig()
 	a := MustNewPartitioned(cfg, 4, 0)
 	b := MustNewPartitioned(cfg, 4, 0)
-	if err := a.Insert("shared", 0); err != nil {
+	if err := a.InsertPre(Precompute("shared"), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Insert("shared", 0); err != nil {
+	if err := b.InsertPre(Precompute("shared"), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Insert("b-only", 0); err != nil {
+	if err := b.InsertPre(Precompute("b-only"), 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -161,7 +170,7 @@ func TestPartitionedMerges(t *testing.T) {
 	if err := am.AMerge(b, 0); err != nil {
 		t.Fatal(err)
 	}
-	min, err := am.MinCounter("shared", 0)
+	min, err := am.MinCounterPre(Precompute("shared"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,14 +185,14 @@ func TestPartitionedMerges(t *testing.T) {
 	if err := mm.MMerge(b, 0); err != nil {
 		t.Fatal(err)
 	}
-	min, err = mm.MinCounter("shared", 0)
+	min, err = mm.MinCounterPre(Precompute("shared"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if min != 10 {
 		t.Errorf("M-merged counter = %g, want max 10", min)
 	}
-	ok, err := mm.Contains("b-only", 0)
+	ok, err := mm.ContainsPre(Precompute("b-only"), 0)
 	if err != nil || !ok {
 		t.Error("M-merge lost b-only")
 	}
@@ -199,19 +208,19 @@ func TestPartitionedMergeMismatch(t *testing.T) {
 	if err := a.MMerge(b, 0); !errors.Is(err, ErrGeometry) {
 		t.Errorf("M-merge mismatch error = %v", err)
 	}
-	if _, err := PreferencePartitioned("k", b, a, 0); !errors.Is(err, ErrGeometry) {
+	if _, err := PreferencePartitionedPre(Precompute("k"), b, a, 0); !errors.Is(err, ErrGeometry) {
 		t.Errorf("preference mismatch error = %v", err)
 	}
 }
 
-func TestPreferencePartitioned(t *testing.T) {
+func TestPreferencePartitionedPre(t *testing.T) {
 	cfg := testConfig()
 	self := MustNewPartitioned(cfg, 4, 0)
 	peer := MustNewPartitioned(cfg, 4, 0)
-	if err := peer.Insert("k", 0); err != nil {
+	if err := peer.InsertPre(Precompute("k"), 0); err != nil {
 		t.Fatal(err)
 	}
-	pref, err := PreferencePartitioned("k", peer, self, 0)
+	pref, err := PreferencePartitionedPre(Precompute("k"), peer, self, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,10 +238,10 @@ func TestPartitionedLowersJointFPR(t *testing.T) {
 	four := MustNewPartitioned(cfg, 4, 0)
 	for i := 0; i < 30; i++ {
 		k := fmt.Sprintf("key-%d", i)
-		if err := one.Insert(k, 0); err != nil {
+		if err := one.InsertPre(Precompute(k), 0); err != nil {
 			t.Fatal(err)
 		}
-		if err := four.Insert(k, 0); err != nil {
+		if err := four.InsertPre(Precompute(k), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -246,7 +255,7 @@ func TestPartitionedEncodeDecodeRoundTrip(t *testing.T) {
 	cfg := testConfig()
 	p := MustNewPartitioned(cfg, 4, 0)
 	keys := []string{"alpha", "beta", "gamma"}
-	if err := p.InsertAll(keys, 0); err != nil {
+	if err := p.InsertAllPre(preKeys(keys), 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, mode := range []CounterMode{CountersNone, CountersUniform, CountersFull} {
@@ -262,7 +271,7 @@ func TestPartitionedEncodeDecodeRoundTrip(t *testing.T) {
 			t.Fatalf("partitions = %d", got.Partitions())
 		}
 		for _, k := range keys {
-			ok, err := got.Contains(k, 0)
+			ok, err := got.ContainsPre(Precompute(k), 0)
 			if err != nil || !ok {
 				t.Errorf("mode %d lost %q", mode, k)
 			}
@@ -273,7 +282,7 @@ func TestPartitionedEncodeDecodeRoundTrip(t *testing.T) {
 func TestPartitionedEncodeSkipsEmptyPartitions(t *testing.T) {
 	cfg := testConfig()
 	p := MustNewPartitioned(cfg, 8, 0)
-	if err := p.Insert("only", 0); err != nil {
+	if err := p.InsertPre(Precompute("only"), 0); err != nil {
 		t.Fatal(err)
 	}
 	sparse, err := p.WireSize(CountersUniform)
@@ -281,7 +290,7 @@ func TestPartitionedEncodeSkipsEmptyPartitions(t *testing.T) {
 		t.Fatal(err)
 	}
 	single := MustNewPartitioned(cfg, 1, 0)
-	if err := single.Insert("only", 0); err != nil {
+	if err := single.InsertPre(Precompute("only"), 0); err != nil {
 		t.Fatal(err)
 	}
 	dense, err := single.WireSize(CountersUniform)
@@ -297,7 +306,7 @@ func TestPartitionedEncodeSkipsEmptyPartitions(t *testing.T) {
 func TestDecodePartitionedRejectsCorrupt(t *testing.T) {
 	cfg := testConfig()
 	p := MustNewPartitioned(cfg, 2, 0)
-	if err := p.Insert("k", 0); err != nil {
+	if err := p.InsertPre(Precompute("k"), 0); err != nil {
 		t.Fatal(err)
 	}
 	good, err := p.Encode(CountersFull)
@@ -331,7 +340,7 @@ func TestPartitionedRoundTripProperty(t *testing.T) {
 		h := int(hRaw)%8 + 1
 		p := MustNewPartitioned(cfg, h, 0)
 		for _, k := range keys {
-			if err := p.Insert(k, 0); err != nil {
+			if err := p.InsertPre(Precompute(k), 0); err != nil {
 				return false
 			}
 		}
@@ -344,7 +353,7 @@ func TestPartitionedRoundTripProperty(t *testing.T) {
 			return false
 		}
 		for _, k := range keys {
-			ok, err := got.Contains(k, 0)
+			ok, err := got.ContainsPre(Precompute(k), 0)
 			if err != nil || !ok {
 				return false
 			}
@@ -375,7 +384,7 @@ func TestPartitionedEncodeRejectsUnknownMode(t *testing.T) {
 	cfg := testConfig()
 	empty := MustNewPartitioned(cfg, 4, 0)
 	one := MustNewPartitioned(cfg, 4, 0)
-	if err := one.Insert("k", 0); err != nil {
+	if err := one.InsertPre(Precompute("k"), 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []*Partitioned{empty, one} {

@@ -47,7 +47,6 @@ import (
 	"math/bits"
 	"time"
 
-	"bsub/internal/bloom"
 	"bsub/internal/hashkit"
 )
 
@@ -425,22 +424,6 @@ func (f *Filter) containsAdvanced(d hashkit.Digest) bool {
 	return true
 }
 
-// ContainsAllPre reports whether every precomputed key may be in the filter
-// at time now, advancing the clock once for the whole batch.
-//
-//bsub:hotpath
-func (f *Filter) ContainsAllPre(keys []PreKey, now time.Duration) (bool, error) {
-	if err := f.Advance(now); err != nil {
-		return false, err
-	}
-	for i := range keys {
-		if !f.containsAdvanced(keys[i].dig) {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
 // ContainsAnyPre reports whether at least one precomputed key may be in the
 // filter at time now, advancing the clock once for the whole batch — the
 // one-pass probe an engine contact runs over its message set.
@@ -638,26 +621,6 @@ func (f *Filter) FillRatio() float64 {
 //bsub:hotpath
 func (f *Filter) EstimatedFPR() float64 {
 	return math.Pow(f.FillRatio(), float64(f.K()))
-}
-
-// ToBloom projects the TCBF onto a counter-less classic Bloom filter with
-// the same geometry — "ripping the counters from the TCBFs" (Section V-D),
-// used when only membership matters and bandwidth is precious. The
-// projection is word-parallel: each counter word's four non-zero-lane flags
-// compress to a 4-bit group OR-ed into the Bloom filter's word.
-func (f *Filter) ToBloom() *bloom.Filter {
-	out := bloom.MustNewFilter(f.M(), f.K())
-	d := bcast(f.pendingTicks)
-	for i, w := range f.words {
-		if w == 0 {
-			continue
-		}
-		nz := nzLanes(satSubWord(w, d))
-		// Lane flags sit at bits 0,16,32,48; fold them down to bits 0..3.
-		g := (nz | nz>>15 | nz>>30 | nz>>45) & 0xF
-		out.OrBits(i*lanesPerWord, g)
-	}
-	return out
 }
 
 // Clone returns a deep copy of the filter, preserving clock, merge status,

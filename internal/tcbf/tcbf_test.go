@@ -186,6 +186,9 @@ func TestMMergeTakesMax(t *testing.T) {
 	if min != 10 {
 		t.Errorf("M-merged counter = %g, want max 10", min)
 	}
+	if ok, err := b.Contains("k", 3*time.Minute); err != nil || !ok || b.Merged() {
+		t.Error("M-merge modified its source filter")
+	}
 }
 
 func TestMMergeIdempotent(t *testing.T) {
@@ -342,12 +345,14 @@ func TestPreference(t *testing.T) {
 
 func TestGeometryMismatch(t *testing.T) {
 	a := MustNew(Config{M: 256, K: 4, Initial: 10}, 0)
-	b := MustNew(Config{M: 128, K: 4, Initial: 10}, 0)
-	if err := a.AMerge(b, 0); !errors.Is(err, ErrGeometry) {
-		t.Errorf("A-merge geometry mismatch: error = %v, want ErrGeometry", err)
-	}
-	if err := a.MMerge(b, 0); !errors.Is(err, ErrGeometry) {
-		t.Errorf("M-merge geometry mismatch: error = %v, want ErrGeometry", err)
+	for _, g := range []struct{ m, k int }{{128, 4}, {256, 3}, {64, 2}} {
+		b := MustNew(Config{M: g.m, K: g.k, Initial: 10}, 0)
+		if err := a.AMerge(b, 0); !errors.Is(err, ErrGeometry) {
+			t.Errorf("A-merge with (%d,%d): error = %v, want ErrGeometry", g.m, g.k, err)
+		}
+		if err := a.MMerge(b, 0); !errors.Is(err, ErrGeometry) {
+			t.Errorf("M-merge with (%d,%d): error = %v, want ErrGeometry", g.m, g.k, err)
+		}
 	}
 }
 
@@ -377,19 +382,6 @@ func TestFigure4Scenario(t *testing.T) {
 	}
 	if mustContains(t, f, "k2", at) {
 		t.Error("k2 should have decayed by t=15")
-	}
-}
-
-func TestToBloomProjection(t *testing.T) {
-	f := MustNew(testConfig(), 0)
-	mustInsert(t, f, "x", 0)
-	mustInsert(t, f, "y", 0)
-	bf := f.ToBloom()
-	if !bf.Contains("x") || !bf.Contains("y") {
-		t.Error("projection lost keys")
-	}
-	if bf.SetBits() != f.SetBits() {
-		t.Errorf("projection set bits %d != %d", bf.SetBits(), f.SetBits())
 	}
 }
 

@@ -124,14 +124,14 @@ func TestDecodePartitionedFloat64EraWire(t *testing.T) {
 	tol := 7.0/255 + goldenWireCfg.Initial/initTicks
 	for i := 0; i < 24; i++ {
 		key := "key-" + string([]byte{'0' + byte(i/100), '0' + byte(i/10%10), '0' + byte(i%10)})
-		ok, err := p.Contains(key, 0)
+		ok, err := p.ContainsPre(Precompute(key), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
 			t.Fatalf("%s missing after decode", key)
 		}
-		mc, err := p.MinCounter(key, 0)
+		mc, err := p.MinCounterPre(Precompute(key), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

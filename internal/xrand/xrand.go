@@ -10,7 +10,10 @@
 // This is simulation randomness, not cryptographic randomness.
 package xrand
 
-import "math"
+import (
+	"math"
+	"time"
+)
 
 // PRNG is a splitmix64 generator. The zero value is a valid (seed-0)
 // stream; use New to spread caller seeds.
@@ -66,3 +69,14 @@ func (p *PRNG) Int63() int64 { return int64(p.Uint64() >> 1) }
 
 // Seed resets the stream, scrambling like New.
 func (p *PRNG) Seed(seed int64) { *p = PRNG(Mix64(uint64(seed))) }
+
+// JitteredBackoff maps a backoff ceiling and a uniform random sample in
+// [0, 1) to a retry delay drawn uniformly from [backoff/2, backoff) —
+// equal jitter. Pure doubling would synchronize every dialer that failed
+// against the same busy peer into a thundering herd that refinds the peer
+// busy in lockstep; the jitter spreads the herd across half the window.
+// The live node's Meet retries and the mesh's reconnects both use it.
+func JitteredBackoff(backoff time.Duration, sample float64) time.Duration {
+	half := backoff / 2
+	return half + time.Duration(sample*float64(half))
+}
