@@ -56,19 +56,6 @@ func KeysFromFillRatio(m, k int, fr float64) float64 {
 	return -float64(m) / float64(k) * math.Log(1-fr)
 }
 
-// FPRFromFillRatio estimates the false-positive rate directly from an
-// observed fill ratio: a query returns a false positive iff all k probed
-// bits are set, so the rate is fr^k.
-func FPRFromFillRatio(fr float64, k int) float64 {
-	if fr <= 0 {
-		return 0
-	}
-	if fr >= 1 {
-		return 1
-	}
-	return math.Pow(fr, float64(k))
-}
-
 // ExpectedMinBinomial returns Eq. 4: the expectation of the minimum of k
 // i.i.d. Binomial(n, p) variables,
 //

@@ -268,26 +268,7 @@ func (p *BSub) forward(env sim.Env, src *node, ss *engine.Session, dst *node, no
 	if err != nil {
 		return
 	}
-	for _, cand := range cands {
-		if dst.eng.HasCarried(cand.Msg.ID) {
-			src.eng.DropCarried(cand.Msg.ID) // duplicate copy: collapse it
-			continue
-		}
-		claim, ok := ss.ClaimCarried(cand.Msg.ID)
-		if !ok {
-			return // out of budget
-		}
-		if claim == nil {
-			continue
-		}
-		claim.Commit()
-		m := claim.Msg()
-		acc := dst.eng.AcceptCarried(m, claim.Payload(), now)
-		env.RecordForwarding(&m)
-		if acc.Delivered {
-			env.Deliver(&m, dst.id)
-		}
-	}
+	p.moveCopies(env, phaseForward, cands, src, ss, dst, now)
 }
 
 // deliveryPull serves the asker from the peer's own and carried messages
@@ -304,26 +285,7 @@ func (p *BSub) deliveryPull(env sim.Env, asker *node, sAsker *engine.Session, se
 	if err != nil {
 		return
 	}
-	for _, t := range matches {
-		var claim *engine.Claim
-		var ok bool
-		if t.Carried {
-			claim, ok = sServer.ClaimCarried(t.Msg.ID)
-		} else {
-			claim, ok = sServer.ClaimDirect(t.Msg.ID)
-		}
-		if !ok {
-			return // out of budget
-		}
-		if claim == nil {
-			continue
-		}
-		claim.Commit()
-		m := claim.Msg()
-		env.RecordForwarding(&m)
-		env.Deliver(&m, asker.id)
-		asker.eng.ReceiveDelivery(m, int(server.id), now)
-	}
+	p.moveCopies(env, phaseDelivery, matches, server, sServer, asker, now)
 }
 
 // replicationPull replicates the peer's matching produced messages to the
@@ -344,8 +306,30 @@ func (p *BSub) replicationPull(env sim.Env, asker *node, sAsker *engine.Session,
 	if err != nil {
 		return
 	}
-	for _, t := range matches {
-		claim, ok := sServer.ClaimReplication(t.Msg.ID)
+	p.moveCopies(env, phaseReplication, matches, server, sServer, asker, now)
+}
+
+// phase is the step that selected a batch of transfers; it picks how
+// moveCopies lands each copy at the receiver.
+type phase uint8
+
+const (
+	phaseForward phase = iota
+	phaseDelivery
+	phaseReplication
+)
+
+// moveCopies claims each transfer at src under the rule its step fixed and
+// commits it at once (a simulated hand-off cannot be severed), then lands
+// the copy at dst and reports it to the metrics, stopping when the
+// contact's budget runs out.
+func (p *BSub) moveCopies(env sim.Env, ph phase, transfers []engine.Transfer, src *node, ss *engine.Session, dst *node, now time.Duration) {
+	for _, t := range transfers {
+		if ph == phaseForward && dst.eng.HasCarried(t.Msg.ID) {
+			src.eng.DropCarried(t.Msg.ID) // duplicate copy: collapse it
+			continue
+		}
+		claim, ok := ss.Claim(t)
 		if !ok {
 			return // out of budget
 		}
@@ -354,13 +338,26 @@ func (p *BSub) replicationPull(env sim.Env, asker *node, sAsker *engine.Session,
 		}
 		claim.Commit()
 		m := claim.Msg()
-		acc := asker.eng.AcceptCarried(m, claim.Payload(), now)
-		env.RecordForwarding(&m)
-		p.advanceOracle(asker, now)
-		genuineMatch := asker.oracle.active() && asker.oracle.genuine(m.MatchKeys())
-		env.RecordReplication(!genuineMatch)
-		if acc.Delivered {
-			env.Deliver(&m, asker.id)
+		switch ph {
+		case phaseForward:
+			acc := dst.eng.AcceptCarried(m, claim.Payload(), now)
+			env.RecordForwarding(&m)
+			if acc.Delivered {
+				env.Deliver(&m, dst.id)
+			}
+		case phaseDelivery:
+			env.RecordForwarding(&m)
+			env.Deliver(&m, dst.id)
+			dst.eng.ReceiveDelivery(m, int(src.id), now)
+		case phaseReplication:
+			acc := dst.eng.AcceptCarried(m, claim.Payload(), now)
+			env.RecordForwarding(&m)
+			p.advanceOracle(dst, now)
+			genuineMatch := dst.oracle.active() && dst.oracle.genuine(m.MatchKeys())
+			env.RecordReplication(!genuineMatch)
+			if acc.Delivered {
+				env.Deliver(&m, dst.id)
+			}
 		}
 	}
 }

@@ -142,7 +142,7 @@ func newContactRig(tb testing.TB, c contactCase) (contact, reseed func()) {
 				tb.Fatalf("forward contact has %d candidates, want at least 2", len(cands))
 			}
 			for _, f := range cands {
-				if claim, ok := sr.ClaimCarried(f.Msg.ID); claim == nil && !ok {
+				if claim, ok := sr.Claim(f); claim == nil && !ok {
 					tb.Fatal("claim refused")
 				}
 			}

@@ -309,6 +309,21 @@ func TestGenuinePropagationRoundTrip(t *testing.T) {
 	}
 }
 
+// carried, direct and replication build transfers with an explicit claim
+// rule, so a test can claim a stored message by ID without running the
+// matching step that would otherwise select it.
+func carried(id int) Transfer {
+	return Transfer{Msg: workload.Message{ID: id}, kind: claimCarried}
+}
+
+func direct(id int) Transfer {
+	return Transfer{Msg: workload.Message{ID: id}, kind: claimDirect}
+}
+
+func replication(id int) Transfer {
+	return Transfer{Msg: workload.Message{ID: id}, kind: claimReplication}
+}
+
 func TestClaimAbortRefundsCopies(t *testing.T) {
 	// Every claim type must refund on abort: carried copies return, direct
 	// sends unmark, replication budgets restore.
@@ -322,18 +337,18 @@ func TestClaimAbortRefundsCopies(t *testing.T) {
 
 	s, _ := contact(n, peer, Unlimited{}, time.Minute)
 
-	cc, ok := s.ClaimCarried(1)
+	cc, ok := s.Claim(carried(1))
 	if cc == nil || !ok {
 		t.Fatal("carried claim refused")
 	}
 	if n.HasCarried(1) {
 		t.Fatal("claim left the carried copy in the store")
 	}
-	cd, ok := s.ClaimDirect(2)
+	cd, ok := s.Claim(direct(2))
 	if cd == nil || !ok {
 		t.Fatal("direct claim refused")
 	}
-	cr, ok := s.ClaimReplication(2)
+	cr, ok := s.Claim(replication(2))
 	if cr == nil || !ok {
 		t.Fatal("replication claim refused")
 	}
@@ -350,13 +365,13 @@ func TestClaimAbortRefundsCopies(t *testing.T) {
 	if got := n.ProducedCopies(2); got != cfg.CopyLimit {
 		t.Errorf("aborted replication left copies at %d, want %d", got, cfg.CopyLimit)
 	}
-	if c, _ := s.ClaimDirect(2); c != nil {
+	if c, _ := s.Claim(direct(2)); c != nil {
 		t.Error("poisoned session handed out a claim")
 		c.Abort()
 	}
 	// The aborted direct send must be retryable in a fresh session.
 	s2, _ := contact(n, peer, Unlimited{}, 2*time.Minute)
-	if c, ok := s2.ClaimDirect(2); c == nil || !ok {
+	if c, ok := s2.Claim(direct(2)); c == nil || !ok {
 		t.Error("aborted direct send not retryable")
 	}
 }
@@ -371,7 +386,7 @@ func TestClaimReplicationExhaustsBudgetOnly(t *testing.T) {
 	peer := mustNode(t, 1, cfg, time.Hour)
 	n.AddProduced(workload.Message{ID: 3, Key: "k", Origin: 0, Size: 5}, nil)
 	s, _ := contact(n, peer, Unlimited{}, time.Minute)
-	c, ok := s.ClaimReplication(3)
+	c, ok := s.Claim(replication(3))
 	if c == nil || !ok {
 		t.Fatal("replication claim refused")
 	}
@@ -387,7 +402,7 @@ func TestClaimReplicationExhaustsBudgetOnly(t *testing.T) {
 	}
 	// Re-claim and commit: replication is over, but the message remains
 	// for direct delivery until its TTL.
-	c, _ = s.ClaimReplication(3)
+	c, _ = s.Claim(replication(3))
 	if c == nil {
 		t.Fatal("re-claim refused")
 	}
@@ -395,10 +410,10 @@ func TestClaimReplicationExhaustsBudgetOnly(t *testing.T) {
 	if n.ProducedCount() != 1 {
 		t.Error("committed last copy evicted the message")
 	}
-	if c2, ok := s.ClaimReplication(3); c2 != nil || !ok {
+	if c2, ok := s.Claim(replication(3)); c2 != nil || !ok {
 		t.Error("exhausted message still claimable for replication")
 	}
-	if c2, ok := s.ClaimDirect(3); c2 == nil || !ok {
+	if c2, ok := s.Claim(direct(3)); c2 == nil || !ok {
 		t.Error("exhausted message not claimable for direct delivery")
 	} else {
 		c2.Abort()
@@ -417,17 +432,17 @@ func TestClearSentToReopensDirectDelivery(t *testing.T) {
 	peer := mustNode(t, 1, cfg, time.Hour)
 	n.AddProduced(workload.Message{ID: 7, Key: "k", Origin: 0, Size: 5}, nil)
 	s, _ := contact(n, peer, Unlimited{}, time.Minute)
-	c, ok := s.ClaimDirect(7)
+	c, ok := s.Claim(direct(7))
 	if c == nil || !ok {
 		t.Fatal("direct claim refused")
 	}
 	c.Commit()
-	if c2, ok := s.ClaimDirect(7); c2 != nil || !ok {
+	if c2, ok := s.Claim(direct(7)); c2 != nil || !ok {
 		t.Fatal("served message claimable again without a reset")
 	}
 	n.ClearSentTo(1)
 	s2, _ := contact(n, peer, Unlimited{}, 2*time.Minute)
-	c3, ok := s2.ClaimDirect(7)
+	c3, ok := s2.Claim(direct(7))
 	if c3 == nil || !ok {
 		t.Fatal("cleared sent-marker did not reopen direct delivery")
 	}
@@ -459,7 +474,7 @@ func TestBudgetRefusalReturnsNil(t *testing.T) {
 	if data != nil {
 		t.Error("budget refusal still produced wire bytes")
 	}
-	if c, ok := sc.ClaimDirect(99); c != nil || !ok {
+	if c, ok := sc.Claim(direct(99)); c != nil || !ok {
 		t.Error("missing message should skip, not stop")
 	}
 }

@@ -212,7 +212,7 @@ func FuzzSessionSteps(f *testing.F) {
 					break
 				}
 				cand := cands[int(arg>>1)%len(cands)]
-				if claim, _ := s.ClaimCarried(cand.Msg.ID); claim != nil {
+				if claim, _ := s.Claim(cand); claim != nil {
 					pending = append(pending, pend{
 						claim: claim, session: s, recv: recv, sender: sender,
 						mode: recvStore, counts: true,
@@ -239,15 +239,11 @@ func FuzzSessionSteps(f *testing.F) {
 					if i == 2 {
 						break
 					}
-					var claim *Claim
 					mode, counts := recvNone, false
-					if tr.Carried {
-						claim, _ = server.ClaimCarried(tr.Msg.ID)
+					if tr.kind == claimCarried {
 						mode, counts = recvDeliver, true
-					} else {
-						claim, _ = server.ClaimDirect(tr.Msg.ID)
 					}
-					if claim != nil {
+					if claim, _ := server.Claim(tr); claim != nil {
 						pending = append(pending, pend{
 							claim: claim, session: server, recv: askN,
 							sender: servN, mode: mode, counts: counts,
@@ -272,7 +268,7 @@ func FuzzSessionSteps(f *testing.F) {
 					break
 				}
 				tr := transfers[int(arg>>1)%len(transfers)]
-				if claim, _ := server.ClaimReplication(tr.Msg.ID); claim != nil {
+				if claim, _ := server.Claim(tr); claim != nil {
 					pending = append(pending, pend{
 						claim: claim, session: server, recv: askN, sender: servN,
 						mode: recvStore, counts: true,

@@ -31,10 +31,10 @@ func TestReleaseLeakHook(t *testing.T) {
 		n.AddProduced(workload.Message{ID: 2, Key: "k", Origin: 0, Size: 10}, nil)
 
 		s, sp := contact(n, peer, Unlimited{}, time.Minute)
-		if c, ok := s.ClaimCarried(1); c == nil || !ok {
+		if c, ok := s.Claim(carried(1)); c == nil || !ok {
 			t.Fatal("carried claim refused")
 		}
-		if c, ok := s.ClaimDirect(2); c == nil || !ok {
+		if c, ok := s.Claim(direct(2)); c == nil || !ok {
 			t.Fatal("direct claim refused")
 		}
 		s.Release()
@@ -52,7 +52,7 @@ func TestReleaseLeakHook(t *testing.T) {
 		n.AcceptCarried(workload.Message{ID: 1, Key: "k", Origin: 9, Size: 10}, nil, 0)
 
 		s, sp := contact(n, peer, Unlimited{}, time.Minute)
-		c, ok := s.ClaimCarried(1)
+		c, ok := s.Claim(carried(1))
 		if c == nil || !ok {
 			t.Fatal("carried claim refused")
 		}
@@ -72,7 +72,7 @@ func TestReleaseLeakHook(t *testing.T) {
 		n.AcceptCarried(workload.Message{ID: 1, Key: "k", Origin: 9, Size: 10}, nil, 0)
 
 		s, sp := contact(n, peer, Unlimited{}, time.Minute)
-		if c, ok := s.ClaimCarried(1); c == nil || !ok {
+		if c, ok := s.Claim(carried(1)); c == nil || !ok {
 			t.Fatal("carried claim refused")
 		}
 		s.Abort() // the severed-contact idiom: refund everything, then release

@@ -23,33 +23,28 @@ type Unlimited struct{}
 // Spend always succeeds.
 func (Unlimited) Spend(int) bool { return true }
 
-// Transfer is a message copy a session step selected for the peer.
+// Transfer is a message copy a session step selected for the peer, with
+// the claim rule the step fixed for it (see Session.Claim).
 type Transfer struct {
-	Msg     workload.Message
-	Payload []byte
-	// Carried distinguishes a relayed copy (claim it with ClaimCarried)
-	// from one of the node's own messages (ClaimDirect).
-	Carried bool
-}
-
-// Forward is a preferential-forwarding candidate with its preference
-// value (Section VI-B's counter difference).
-type Forward struct {
-	Msg     workload.Message
-	Payload []byte
-	Pref    float64
+	Msg workload.Message
+	// pref is ForwardCandidates' sort key, Section VI-B's counter
+	// difference; the pulls leave it zero.
+	pref float64
+	kind claimKind
 }
 
 // Session is one side of a contact: a pinned view of the node's role plus
 // the typed protocol steps, in the order the contact runs them:
 //
 //	BeginContact → Hello/SetPeer → Elect/Apply →
-//	  both brokers:  RelayOut/SetPeerRelay → ForwardCandidates +
-//	                 ClaimCarried → MergeRelay
+//	  both brokers:  RelayOut/SetPeerRelay → ForwardCandidates → Claim →
+//	                 MergeRelay
 //	  mixed roles:   GenuineOut → AbsorbGenuine
-//	  both, per side: InterestOut → DeliveryMatches → ClaimDirect /
-//	                 ClaimCarried; RelayAdvertOut → ReplicationMatches →
-//	                 ClaimReplication
+//	  both, per side: InterestOut → DeliveryMatches → Claim;
+//	                 RelayAdvertOut → ReplicationMatches → Claim
+//
+// A matching step fixes each Transfer's claim rule, so an adapter claims
+// every selected copy the same way, whichever step chose it.
 //
 // Each *Out step returns the Section VI-C wire encoding (charged to the
 // Budget; nil, nil when the budget refuses) and each consuming step
@@ -126,7 +121,7 @@ type Session struct {
 	// a cold read at population scale.
 	geom arenaGeometry
 
-	cands     []Forward
+	cands     []Transfer
 	transfers []Transfer
 
 	claimArena claimArena
@@ -583,7 +578,7 @@ func (s *Session) SetPeerRelay(data []byte) error {
 // their relay filters."
 //
 //bsub:hotpath
-func (s *Session) ForwardCandidates() ([]Forward, error) {
+func (s *Session) ForwardCandidates() ([]Transfer, error) {
 	s.ratchet()
 	if s.relay == nil || s.peerRelay == nil {
 		return nil, nil
@@ -603,13 +598,13 @@ func (s *Session) ForwardCandidates() ([]Forward, error) {
 		if !ok || best <= 0 {
 			continue
 		}
-		cands = append(cands, Forward{Msg: e.Msg, Payload: e.Payload, Pref: best})
+		cands = append(cands, Transfer{Msg: e.Msg, pref: best, kind: claimCarried})
 	}
-	slices.SortFunc(cands, func(a, b Forward) int {
+	slices.SortFunc(cands, func(a, b Transfer) int {
 		switch {
-		case a.Pref > b.Pref:
+		case a.pref > b.pref:
 			return -1
-		case a.Pref < b.Pref:
+		case a.pref < b.pref:
 			return 1
 		case a.Msg.ID < b.Msg.ID:
 			return -1
@@ -684,7 +679,7 @@ func (s *Session) DeliveryMatches(data []byte) ([]Transfer, error) {
 		if !match {
 			continue
 		}
-		out = append(out, Transfer{Msg: e.Msg, Payload: e.Payload})
+		out = append(out, Transfer{Msg: e.Msg, kind: claimDirect})
 	}
 	for _, e := range s.n.carried.Live(s.now) {
 		if e.Msg.Origin == s.peer.ID {
@@ -697,7 +692,7 @@ func (s *Session) DeliveryMatches(data []byte) ([]Transfer, error) {
 		if !match {
 			continue
 		}
-		out = append(out, Transfer{Msg: e.Msg, Payload: e.Payload, Carried: true})
+		out = append(out, Transfer{Msg: e.Msg, kind: claimCarried})
 	}
 	s.transfers = out
 	return out, nil
@@ -754,7 +749,7 @@ func (s *Session) ReplicationMatches(data []byte) ([]Transfer, error) {
 			return nil, err
 		}
 		if match {
-			out = append(out, Transfer{Msg: e.Msg, Payload: e.Payload})
+			out = append(out, Transfer{Msg: e.Msg, kind: claimReplication})
 		}
 	}
 	s.transfers = out
@@ -763,7 +758,8 @@ func (s *Session) ReplicationMatches(data []byte) ([]Transfer, error) {
 
 // --- Claims ---------------------------------------------------------------
 
-// claimKind selects the Abort (refund) action of a claim.
+// claimKind is a transfer's claim rule: it selects what Claim takes from
+// the stores and what Abort refunds.
 type claimKind uint8
 
 const (
@@ -848,83 +844,60 @@ func (a *claimArena) take() *Claim {
 //bsub:hotpath
 func (a *claimArena) reset() { a.used = 0 }
 
-// claim charges the budget and records the refund action. The (claim, ok)
-// shape is shared by all three claim steps: (nil, true) means "skip this
-// message, keep going"; (nil, false) means "stop — no budget left (or the
-// session is aborted)".
+// Claim takes transfer t's copy under the rule its step fixed, charging
+// the budget and recording the refund Abort runs:
+//
+//   - a carried copy leaves the carried store (preferential forward or
+//     carried delivery); Abort restores it;
+//   - an own message delivered directly marks this peer served ("direct
+//     deliveries are not counted against the copy limit"); Abort clears
+//     the mark so a later contact can retry;
+//   - a replication spends one of the message's copies. Exhausting them
+//     ends replication only: the message stays in the produced store (at
+//     zero copies) until its TTL, so later contacts can still serve
+//     matching subscribers directly. Abort restores the copy.
+//
+// (nil, true) means "skip this message, keep going": the copy is gone, or
+// already served or exhausted. (nil, false) means "stop": no budget left,
+// or the session is aborted.
 //
 //bsub:hotpath
-func (s *Session) claim(e *msgstore.Copy, kind claimKind) (*Claim, bool) {
+func (s *Session) Claim(t Transfer) (*Claim, bool) {
+	if s.poisoned {
+		return nil, false
+	}
+	var e *msgstore.Copy
+	switch t.kind {
+	case claimCarried:
+		e = s.n.carried.Get(t.Msg.ID)
+	case claimDirect:
+		if e = s.n.produced.Get(t.Msg.ID); e != nil && e.SentTo(s.peer.ID) {
+			e = nil
+		}
+	case claimReplication:
+		if e = s.n.produced.Get(t.Msg.ID); e != nil && e.Copies <= 0 {
+			e = nil
+		}
+	}
+	if e == nil {
+		return nil, true
+	}
 	if !s.budget.Spend(e.Msg.Size) {
 		return nil, false
 	}
 	c := s.claimArena.take()
 	c.msg, c.payload = e.Msg, e.Payload
-	c.kind, c.n, c.entry, c.peer = kind, s.n, e, s.peer.ID
+	c.kind, c.n, c.entry, c.peer = t.kind, s.n, e, s.peer.ID
 	s.claims = append(s.claims, c)
-	return c, true
-}
-
-// ClaimCarried removes carried copy id for hand-off to the peer
-// (preferential forward or carried delivery). Abort restores the copy.
-//
-//bsub:hotpath
-func (s *Session) ClaimCarried(id int) (*Claim, bool) {
-	if s.poisoned {
-		return nil, false
-	}
-	e := s.n.carried.Get(id)
-	if e == nil {
-		return nil, true
-	}
-	c, ok := s.claim(e, claimCarried)
-	if c != nil {
-		s.n.carried.Remove(id)
-	}
-	return c, ok
-}
-
-// ClaimDirect marks own message id as served directly to this peer
-// ("direct deliveries are not counted against the copy limit"). Abort
-// clears the mark so a later contact can retry.
-//
-//bsub:hotpath
-func (s *Session) ClaimDirect(id int) (*Claim, bool) {
-	if s.poisoned {
-		return nil, false
-	}
-	e := s.n.produced.Get(id)
-	if e == nil || e.SentTo(s.peer.ID) {
-		return nil, true
-	}
-	c, ok := s.claim(e, claimDirect)
-	if c != nil {
+	switch t.kind {
+	case claimCarried:
+		s.n.carried.Remove(t.Msg.ID)
+	case claimDirect:
 		e.MarkSent(s.peer.ID)
-	}
-	return c, ok
-}
-
-// ClaimReplication spends one producer copy of own message id for
-// replication to the peer broker. Exhausting the budget ends replication
-// only: the message stays in the produced store (at zero copies) until its
-// TTL, so later contacts can still serve matching subscribers directly —
-// "direct deliveries are not counted against the copy limit". Abort
-// restores the copy (MSGACK refund).
-//
-//bsub:hotpath
-func (s *Session) ClaimReplication(id int) (*Claim, bool) {
-	if s.poisoned {
-		return nil, false
-	}
-	e := s.n.produced.Get(id)
-	if e == nil || e.Copies <= 0 {
-		return nil, true
-	}
-	c, ok := s.claim(e, claimReplication)
-	if c != nil {
+	case claimReplication:
 		e.Copies--
 	}
-	return c, ok
+	return c, true
 }
 
 // Abort refunds every unsettled claim (a severed contact's MSGACKs never

@@ -28,29 +28,20 @@ var ErrPartitioned = errors.New("faultnet: destination unreachable (partitioned)
 // Dialer's closure happens between its two critical sections.
 type Fabric struct {
 	mu    sync.Mutex
-	group map[string]int    // key -> partition group (missing = 0)
-	keyOf map[string]string // listen addr -> key
-	plan  func(from, to string) Plan
+	group map[string]int      // key -> partition group (missing = 0)
+	keyOf map[string]string   // listen addr -> key
 	conns map[*Conn][2]string // live dialed conns -> {fromKey, toKey}
 }
 
-// NewFabric returns a healed fabric: every key in group 0, no fault plans.
+// NewFabric returns a healed fabric: every key in group 0. Dialed
+// connections are wrapped with the zero Plan, which injects no faults;
+// the fabric's only failures are partitions.
 func NewFabric() *Fabric {
 	return &Fabric{
 		group: map[string]int{},
 		keyOf: map[string]string{},
 		conns: map[*Conn][2]string{},
 	}
-}
-
-// SetPlanFunc installs a per-link fault plan source: every connection
-// dialed through the fabric from key `from` to key `to` is wrapped with
-// plan(from, to). Nil (the default) wraps with the zero Plan, which
-// injects nothing.
-func (f *Fabric) SetPlanFunc(plan func(from, to string) Plan) {
-	f.mu.Lock()
-	f.plan = plan
-	f.mu.Unlock()
 }
 
 // Register binds a listen address to a node key. Re-registering a key
@@ -134,17 +125,13 @@ func (f *Fabric) Dialer(key string) func(addr string, timeout time.Duration) (ne
 			return nil, fmt.Errorf("faultnet: dial %s from %s: %w", addr, key, ErrPartitioned)
 		}
 		to := f.keyOf[addr]
-		plan := Plan{}
-		if f.plan != nil {
-			plan = f.plan(key, to)
-		}
 		f.mu.Unlock()
 
 		raw, err := net.DialTimeout("tcp", addr, timeout)
 		if err != nil {
 			return nil, err
 		}
-		conn := Wrap(raw, plan)
+		conn := Wrap(raw, Plan{})
 
 		f.mu.Lock()
 		if !f.reachableLocked(key, addr) {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"bsub/internal/engine"
+	"bsub/internal/workload"
 )
 
 // session is one contact session in flight: the wire half of a contact.
@@ -341,56 +342,24 @@ func (s *session) relayPhase(now time.Duration) error {
 		return err
 	}
 
-	// Initiator sends its candidates first. Each copy is claimed through
-	// the engine immediately before it travels — a concurrent session may
-	// already have spent it, and two sessions must never move the same
-	// carried copy.
-	sendCands := func() error {
-		n.mu.Lock()
-		cands, err := s.es.ForwardCandidates()
-		n.mu.Unlock()
-		if err != nil {
-			return err
-		}
-		for _, c := range cands {
+	// Initiator forwards first; the responder picks its candidates after
+	// storing the initiator's.
+	err = s.lockstep(
+		func() error {
 			n.mu.Lock()
-			claim, ok := s.es.ClaimCarried(c.Msg.ID)
+			cands, err := s.es.ForwardCandidates()
 			n.mu.Unlock()
-			if claim == nil {
-				if !ok {
-					break
-				}
-				continue
-			}
-			if err := s.sendClaimed(claim); err != nil {
-				return err
-			}
-		}
-		return s.writeFrame(frameEndMessages, nil)
-	}
-	recvCands := func() error {
-		for {
-			typ, body, err := s.readFrame()
 			if err != nil {
 				return err
 			}
-			if typ == frameEndMessages {
-				return nil
-			}
-			if typ != frameMessage {
-				return fmt.Errorf("%w: frame %d during relay forwarding", ErrProtocol, typ)
-			}
-			msg, payload, err := decodeMessage(body)
-			if err != nil {
-				return err
-			}
-			n.acceptCarried(msg, payload, now)
-			if err := s.writeAck(msg.ID); err != nil {
-				return err
-			}
-		}
-	}
-	if err := s.lockstep(sendCands, recvCands); err != nil {
+			return s.sendCopies(cands)
+		},
+		func() error {
+			return s.recvCopies("relay forwarding", func(msg workload.Message, payload []byte) {
+				n.acceptCarried(msg, payload, now)
+			})
+		})
+	if err != nil {
 		return err
 	}
 
@@ -407,7 +376,10 @@ const (
 )
 
 // askDelivery requests messages matching our interests and ingests the
-// response.
+// response. The match was probabilistic (Bloom filter); the engine counts
+// a delivery only if the copy is live and we really want it — a mismatch
+// is a false-positive transfer. Either way the copy is ACKed: the ACK
+// confirms receipt, not interest.
 func (s *session) askDelivery(peerID uint32, now time.Duration) error {
 	n := s.n
 	n.mu.Lock()
@@ -419,75 +391,31 @@ func (s *session) askDelivery(peerID uint32, now time.Duration) error {
 	if err := s.writeFrame(frameInterestBF, append([]byte{pullDelivery}, fBytes...)); err != nil {
 		return err
 	}
-	for {
-		typ, body, err := s.readFrame()
-		if err != nil {
-			return err
-		}
-		if typ == frameEndMessages {
-			return nil
-		}
-		if typ != frameMessage {
-			return fmt.Errorf("%w: frame %d during delivery pull", ErrProtocol, typ)
-		}
-		msg, payload, err := decodeMessage(body)
-		if err != nil {
-			return err
-		}
-		// The match was probabilistic (Bloom filter); the engine counts a
-		// delivery only if the copy is live and we really want it — a
-		// mismatch is a false-positive transfer. Either way the copy is
-		// ACKed: the ACK confirms receipt, not interest.
+	return s.recvCopies("delivery pull", func(msg workload.Message, payload []byte) {
 		n.mu.Lock()
 		acc := n.eng.ReceiveDelivery(msg, int(peerID), now)
 		n.mu.Unlock()
 		if acc.Delivered {
 			n.deliver(msg, payload, acc.Direct)
 		}
-		if err := s.writeAck(msg.ID); err != nil {
-			return err
-		}
-	}
+	})
 }
 
 // answerDelivery serves the peer's delivery request from our produced
 // messages (direct) and carried copies (broker-mediated; a carried
-// delivery hands the copy off, per Section V-D). Each copy is claimed
-// through the engine immediately before it travels and refunded unless
-// the peer ACKs it — a contact severed mid-transfer loses no copies.
+// delivery hands the copy off, per Section V-D).
 func (s *session) answerDelivery() error {
-	n := s.n
 	body, err := s.readPull(pullDelivery)
 	if err != nil {
 		return err
 	}
-	n.mu.Lock()
+	s.n.mu.Lock()
 	transfers, err := s.es.DeliveryMatches(body)
-	n.mu.Unlock()
+	s.n.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	for _, t := range transfers {
-		n.mu.Lock()
-		var claim *engine.Claim
-		var ok bool
-		if t.Carried {
-			claim, ok = s.es.ClaimCarried(t.Msg.ID)
-		} else {
-			claim, ok = s.es.ClaimDirect(t.Msg.ID)
-		}
-		n.mu.Unlock()
-		if claim == nil {
-			if !ok {
-				break
-			}
-			continue
-		}
-		if err := s.sendClaimed(claim); err != nil {
-			return err
-		}
-	}
-	return s.writeFrame(frameEndMessages, nil)
+	return s.sendCopies(transfers)
 }
 
 // askReplication advertises our relay filter and stores the returned
@@ -503,50 +431,41 @@ func (s *session) askReplication(now time.Duration) error {
 	if err := s.writeFrame(frameInterestBF, append([]byte{pullReplication}, fBytes...)); err != nil {
 		return err
 	}
-	for {
-		typ, body, err := s.readFrame()
-		if err != nil {
-			return err
-		}
-		if typ == frameEndMessages {
-			return nil
-		}
-		if typ != frameMessage {
-			return fmt.Errorf("%w: frame %d during replication pull", ErrProtocol, typ)
-		}
-		msg, payload, err := decodeMessage(body)
-		if err != nil {
-			return err
-		}
+	return s.recvCopies("replication pull", func(msg workload.Message, payload []byte) {
 		n.acceptCarried(msg, payload, now)
-		if err := s.writeAck(msg.ID); err != nil {
-			return err
-		}
-	}
+	})
 }
 
 // answerReplication replicates matching produced messages to the broker,
 // bounded by the copy limit; an exhausted message stops replicating but
 // stays in the produced store until TTL so later contacts can still serve
-// matching subscribers directly. A copy is claimed (decremented) through
-// the engine before it travels and refunded if the peer's ACK never
-// arrives.
+// matching subscribers directly.
 func (s *session) answerReplication() error {
-	n := s.n
 	body, err := s.readPull(pullReplication)
 	if err != nil {
 		return err
 	}
-	n.mu.Lock()
+	s.n.mu.Lock()
 	transfers, err := s.es.ReplicationMatches(body)
-	n.mu.Unlock()
+	s.n.mu.Unlock()
 	if err != nil {
 		return err
 	}
+	return s.sendCopies(transfers)
+}
+
+// sendCopies moves the transfers a matching step selected, then ends the
+// stream with END. Each copy is claimed through the engine immediately
+// before it travels — a concurrent session may already have spent it, and
+// two sessions must never move the same copy — and is refunded unless the
+// peer ACKs it (sendClaimed), so a contact severed mid-transfer loses no
+// copies. A claim the engine refuses outright (an aborted session) ends
+// the stream early.
+func (s *session) sendCopies(transfers []engine.Transfer) error {
 	for _, t := range transfers {
-		n.mu.Lock()
-		claim, ok := s.es.ClaimReplication(t.Msg.ID)
-		n.mu.Unlock()
+		s.n.mu.Lock()
+		claim, ok := s.es.Claim(t)
+		s.n.mu.Unlock()
 		if claim == nil {
 			if !ok {
 				break
@@ -558,6 +477,32 @@ func (s *session) answerReplication() error {
 		}
 	}
 	return s.writeFrame(frameEndMessages, nil)
+}
+
+// recvCopies reads the peer's message stream until END, handing each
+// decoded copy to accept and then ACKing it, which commits the sender's
+// claim. Any other frame is a protocol error naming the phase.
+func (s *session) recvCopies(phase string, accept func(workload.Message, []byte)) error {
+	for {
+		typ, body, err := s.readFrame()
+		if err != nil {
+			return err
+		}
+		if typ == frameEndMessages {
+			return nil
+		}
+		if typ != frameMessage {
+			return fmt.Errorf("%w: frame %d during %s", ErrProtocol, typ, phase)
+		}
+		msg, payload, err := decodeMessage(body)
+		if err != nil {
+			return err
+		}
+		accept(msg, payload)
+		if err := s.writeAck(msg.ID); err != nil {
+			return err
+		}
+	}
 }
 
 // readPull reads an interest-BF frame of the expected purpose and returns
