@@ -85,15 +85,17 @@ chaos:
 chaos-mesh:
 	$(GO) test -race -count=1 -tags bsubdebug -timeout 20m -run TestMeshChurn ./internal/mesh
 
-# fuzz gives each wire-format fuzzer a short smoke budget; go only
-# accepts one -fuzz target per invocation.
+# fuzz gives each fuzzer a short smoke budget: the three livenode wire
+# decoders, then three model and state fuzzers — engine session step
+# orders, the TCBF lockstep tape (bare and partitioned filters), and
+# faultnet partition/heal flips raced against dials. go only accepts one
+# -fuzz target per invocation.
 fuzz:
 	$(GO) test ./internal/livenode -run '^$$' -fuzz FuzzReadFrame -fuzztime 5s
 	$(GO) test ./internal/livenode -run '^$$' -fuzz FuzzDecodeMessage -fuzztime 5s
 	$(GO) test ./internal/livenode -run '^$$' -fuzz FuzzDecodeHello -fuzztime 5s
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzSessionSteps -fuzztime 5s
 	$(GO) test ./internal/tcbf -run '^$$' -fuzz FuzzTCBFModel -fuzztime 5s
-	$(GO) test ./internal/filtertest -run '^$$' -fuzz FuzzFilterModel -fuzztime 5s
 	$(GO) test ./internal/faultnet -run '^$$' -fuzz FuzzFabricHealDuringHandshake -fuzztime 5s
 
 # golden rebuilds the quick-mode experiment tables (seed 1) and compares
@@ -151,8 +153,8 @@ perfbench-test:
 # full suite under the race detector with claim-leak panics on (sim/live
 # parity and the chaos suite included), the allocation guards, then the
 # mesh churn controller, a fuzz smoke pass over the wire decoders, the
-# engine state machine, the TCBF differential model, and the
-# partitioned-TCBF conformance suite, the golden-CSV comparisons, a
+# engine state machine, the TCBF differential model (bare and
+# partitioned) and the fabric, the golden-CSV comparisons, a
 # benchmark smoke run, and the benchmark module's vet and tests. The
 # livenode session adapter and the mesh daemon are concurrent; never
 # ship them unraced.

@@ -2,6 +2,7 @@ package hashkit
 
 import (
 	"hash/fnv"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -21,6 +22,7 @@ func TestNewValidation(t *testing.T) {
 		{name: "negative k", m: 8, k: -1, wantErr: true},
 		{name: "k too large", m: 8, k: MaxK + 1, wantErr: true},
 		{name: "m of one", m: 1, k: 1},
+		{name: "m beyond 32 bits", m: math.MaxUint32 + 1, k: 2, wantErr: true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

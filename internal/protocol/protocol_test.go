@@ -191,8 +191,8 @@ func assertSane(t *testing.T, r metrics.Report) {
 }
 
 // shardConfig is a streamed scale population run on the given number of
-// workers and epoch width (zero: the default).
-func shardConfig(t *testing.T, nodes, workers int, epoch time.Duration) sim.Config {
+// workers, epoch width and link rate (zero: the defaults).
+func shardConfig(t *testing.T, nodes, workers int, epoch time.Duration, bandwidthBps int) sim.Config {
 	t.Helper()
 	tc := tracegen.Scale(nodes, 7)
 	cs, err := tracegen.NewStream(tc)
@@ -205,13 +205,14 @@ func shardConfig(t *testing.T, nodes, workers int, epoch time.Duration) sim.Conf
 		rates[i] = 1
 	}
 	return sim.Config{
-		Source:    cs,
-		MsgSource: workload.NewStream(ks, rates, tc.Span, 7),
-		Interests: workload.Interests(ks, nodes, rand.New(rand.NewSource(7))),
-		TTL:       4 * time.Hour,
-		Seed:      7,
-		Workers:   workers,
-		Epoch:     epoch,
+		Source:       cs,
+		MsgSource:    workload.NewStream(ks, rates, tc.Span, 7),
+		Interests:    workload.Interests(ks, nodes, rand.New(rand.NewSource(7))),
+		TTL:          4 * time.Hour,
+		Seed:         7,
+		Workers:      workers,
+		Epoch:        epoch,
+		BandwidthBps: bandwidthBps,
 	}
 }
 
@@ -220,36 +221,41 @@ func shardConfig(t *testing.T, nodes, workers int, epoch time.Duration) sim.Conf
 // any worker count and epoch width. PUSH shares read-only copies across
 // node stores and PULL mutates a producer copy's served-peer set, so both
 // lean on the per-node state rule the executor's concurrency rests on.
+// At the default 250 kbps no contact's budget runs out mid-store, so the
+// order in which PUSH replicates a store cannot show in the report; the
+// 8 kbps leg starves contacts, so a nondeterministic copy order does.
 func TestBaselinesShardedDeterminism(t *testing.T) {
 	const nodes = 200
-	for _, mk := range []func() sim.Protocol{
-		func() sim.Protocol { return NewPush() },
-		func() sim.Protocol { return NewPull() },
-	} {
-		base, err := sim.Run(shardConfig(t, nodes, 1, 0), mk())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if base.Delivered == 0 || base.Forwardings == 0 {
-			t.Fatalf("%s: degenerate run: %s", base.Protocol, base)
-		}
-		for _, tc := range []struct {
-			workers int
-			epoch   time.Duration
-		}{
-			{3, 0},
-			{8, 0},
-			{3, 7 * time.Minute},
-			{8, time.Hour},
-			{1, time.Minute},
+	for _, bw := range []int{0, 8000} {
+		for _, mk := range []func() sim.Protocol{
+			func() sim.Protocol { return NewPush() },
+			func() sim.Protocol { return NewPull() },
 		} {
-			got, err := sim.Run(shardConfig(t, nodes, tc.workers, tc.epoch), mk())
+			base, err := sim.Run(shardConfig(t, nodes, 1, 0, bw), mk())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, base) {
-				t.Errorf("%s workers=%d epoch=%v: report differs from workers=1:\ngot  %+v\nwant %+v",
-					base.Protocol, tc.workers, tc.epoch, got, base)
+			if base.Delivered == 0 || base.Forwardings == 0 {
+				t.Fatalf("%s bandwidth=%d: degenerate run: %s", base.Protocol, bw, base)
+			}
+			for _, tc := range []struct {
+				workers int
+				epoch   time.Duration
+			}{
+				{3, 0},
+				{8, 0},
+				{3, 7 * time.Minute},
+				{8, time.Hour},
+				{1, time.Minute},
+			} {
+				got, err := sim.Run(shardConfig(t, nodes, tc.workers, tc.epoch, bw), mk())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, base) {
+					t.Errorf("%s bandwidth=%d workers=%d epoch=%v: report differs from workers=1:\ngot  %+v\nwant %+v",
+						base.Protocol, bw, tc.workers, tc.epoch, got, base)
+				}
 			}
 		}
 	}

@@ -333,7 +333,9 @@ func TestDecodePartitionedRejectsCorrupt(t *testing.T) {
 	}
 }
 
-// Property: partitioned membership round-trips across arbitrary key sets.
+// Property: partitioned membership round-trips across arbitrary key sets
+// in both counter modes, with decay pending at encode time, and the decoded
+// copy refuses genuine inserts.
 func TestPartitionedRoundTripProperty(t *testing.T) {
 	cfg := Config{M: 256, K: 4, Initial: 10, DecayPerMinute: 1}
 	prop := func(keys []string, hRaw uint8) bool {
@@ -344,17 +346,26 @@ func TestPartitionedRoundTripProperty(t *testing.T) {
 				return false
 			}
 		}
-		data, err := p.Encode(CountersFull)
-		if err != nil {
+		now := time.Minute
+		if p.Advance(now) != nil {
 			return false
 		}
-		got, err := DecodePartitioned(data, cfg, 0)
-		if err != nil {
-			return false
-		}
-		for _, k := range keys {
-			ok, err := got.ContainsPre(Precompute(k), 0)
-			if err != nil || !ok {
+		for _, mode := range []CounterMode{CountersNone, CountersFull} {
+			data, err := p.Encode(mode)
+			if err != nil {
+				return false
+			}
+			got, err := DecodePartitioned(data, cfg, now)
+			if err != nil {
+				return false
+			}
+			for _, k := range keys {
+				ok, err := got.ContainsPre(Precompute(k), now)
+				if err != nil || !ok {
+					return false
+				}
+			}
+			if !errors.Is(got.InsertPre(Precompute("genuine-after-decode"), now), ErrMerged) {
 				return false
 			}
 		}

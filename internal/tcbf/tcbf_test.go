@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -115,11 +116,38 @@ func TestZeroDFNeverDecays(t *testing.T) {
 	}
 }
 
+// TestClockSkewRejected calls every temporal entry point of each shape with
+// a clock earlier than the filter's: each must refuse with ErrClockSkew,
+// and the refusal must leave the DF as it was (a retune that drops the
+// error would still apply it). DecodeInto is left out: it restarts the
+// filter's clock at its now.
 func TestClockSkewRejected(t *testing.T) {
-	f := MustNew(testConfig(), time.Hour)
-	err := f.Insert("x", 0)
-	if !errors.Is(err, ErrClockSkew) {
-		t.Errorf("error = %v, want ErrClockSkew", err)
+	pre := Precompute("x")
+	calls := []struct {
+		name string
+		call func(f, peer subject) error
+	}{
+		{"insert", func(f, _ subject) error { return f.insert([]string{"x"}, 0) }},
+		{"InsertPre", func(f, _ subject) error { return f.InsertPre(pre, 0) }},
+		{"Advance", func(f, _ subject) error { return f.Advance(0) }},
+		{"SetDecayFactor", func(f, _ subject) error { return f.SetDecayFactor(2, 0) }},
+		{"AMerge", func(f, peer subject) error { return f.merge(peer, 0, true) }},
+		{"MMerge", func(f, peer subject) error { return f.merge(peer, 0, false) }},
+		{"ContainsPre", func(f, _ subject) error { _, err := f.ContainsPre(pre, 0); return err }},
+		{"MinCounterPre", func(f, _ subject) error { _, err := f.MinCounterPre(pre, 0); return err }},
+	}
+	for _, sh := range shapes {
+		for _, c := range calls {
+			t.Run(sh.name+"/"+c.name, func(t *testing.T) {
+				f, peer := newSubject(testConfig(), sh.h, time.Hour), newSubject(testConfig(), sh.h, time.Hour)
+				if err := c.call(f, peer); !errors.Is(err, ErrClockSkew) {
+					t.Errorf("error = %v, want ErrClockSkew", err)
+				}
+				if got, want := f.Config().DecayPerMinute, testConfig().DecayPerMinute; got != want {
+					t.Errorf("DF = %g after a refused call, want %g", got, want)
+				}
+			})
+		}
 	}
 }
 
@@ -435,134 +463,165 @@ func TestResetClearsState(t *testing.T) {
 	}
 }
 
-func snapshot(f *Filter) []float64 {
-	out := make([]float64, f.M())
-	for i := range out {
-		out[i] = f.Counter(i)
+// snapshot lists the counters of each filter in turn.
+func snapshot(fs ...*Filter) []float64 {
+	var out []float64
+	for _, f := range fs {
+		for p := 0; p < f.M(); p++ {
+			out = append(out, f.Counter(p))
+		}
 	}
 	return out
 }
 
 // --- Properties -----------------------------------------------------------
 
-// Property: no false negatives while counters are alive.
+// Property: no false negatives while counters are alive, at every shape.
 func TestNoFalseNegativesProperty(t *testing.T) {
-	prop := func(keys []string) bool {
-		f := MustNew(Config{M: 512, K: 4, Initial: 10, DecayPerMinute: 1}, 0)
-		for _, k := range keys {
-			if err := f.Insert(k, 0); err != nil {
+	cfg := Config{M: 512, K: 4, Initial: 10, DecayPerMinute: 1}
+	forShapes(t, func(t *testing.T, h int) {
+		prop := func(keys []string) bool {
+			f := newSubject(cfg, h, 0)
+			if f.insert(keys, 0) != nil {
 				return false
 			}
-		}
-		for _, k := range keys {
-			ok, err := f.Contains(k, 0)
-			if err != nil || !ok {
-				return false
+			// Initial=10, DF=1/min: every key outlives its tenth minute.
+			for _, now := range []time.Duration{0, 10*time.Minute - time.Second} {
+				for _, k := range keys {
+					ok, err := f.contains(k, now)
+					if err != nil || !ok {
+						return false
+					}
+				}
 			}
+			return true
 		}
-		return true
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
-	}
+		if err := quick.Check(prop, nil); err != nil {
+			t.Error(err)
+		}
+	})
 }
 
 // Property: M-merge is commutative on counters.
-func TestMMergeCommutativeProperty(t *testing.T) {
-	prop := func(ka, kb []string) bool {
-		build := func(keys []string) *Filter {
-			f := MustNew(Config{M: 256, K: 4, Initial: 10, DecayPerMinute: 1}, 0)
-			for _, k := range keys {
-				_ = f.Insert(k, 0)
-			}
-			return f
-		}
-		ab := build(ka)
-		if err := ab.MMerge(build(kb), 0); err != nil {
-			return false
-		}
-		ba := build(kb)
-		if err := ba.MMerge(build(ka), 0); err != nil {
-			return false
-		}
-		sa, sb := snapshot(ab), snapshot(ba)
-		for i := range sa {
-			if sa[i] != sb[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
-	}
-}
+func TestMMergeCommutativeProperty(t *testing.T) { mergeCommutes(t, false) }
 
 // Property: A-merge is commutative on counters.
-func TestAMergeCommutativeProperty(t *testing.T) {
-	prop := func(ka, kb []string) bool {
-		build := func(keys []string) *Filter {
-			f := MustNew(Config{M: 256, K: 4, Initial: 10, DecayPerMinute: 1}, 0)
-			for _, k := range keys {
-				_ = f.Insert(k, 0)
+func TestAMergeCommutativeProperty(t *testing.T) { mergeCommutes(t, true) }
+
+// mergeCommutes checks, at every shape, that merging B into A leaves the
+// same counters as merging A into B.
+func mergeCommutes(t *testing.T, additive bool) {
+	cfg := Config{M: 256, K: 4, Initial: 10, DecayPerMinute: 1}
+	forShapes(t, func(t *testing.T, h int) {
+		prop := func(ka, kb []string) bool {
+			build := func(keys []string) subject {
+				f := newSubject(cfg, h, 0)
+				_ = f.insert(keys, 0)
+				return f
 			}
-			return f
-		}
-		ab := build(ka)
-		if err := ab.AMerge(build(kb), 0); err != nil {
-			return false
-		}
-		ba := build(kb)
-		if err := ba.AMerge(build(ka), 0); err != nil {
-			return false
-		}
-		sa, sb := snapshot(ab), snapshot(ba)
-		for i := range sa {
-			if math.Abs(sa[i]-sb[i]) > 1e-9 {
+			ab, ba := build(ka), build(kb)
+			if ab.merge(build(kb), 0, additive) != nil || ba.merge(build(ka), 0, additive) != nil {
 				return false
 			}
+			return slices.Equal(snapshot(ab.partitions()...), snapshot(ba.partitions()...))
 		}
-		return true
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
-	}
+		if err := quick.Check(prop, nil); err != nil {
+			t.Error(err)
+		}
+	})
 }
 
-// Property: decay is monotone — counters never increase under Advance, and
-// decaying in two steps equals decaying in one.
+// Property: decay is monotone — counters never increase under Advance,
+// decaying in two steps equals decaying in one, and every counter is zero
+// once its lifetime Initial/DF has passed.
 func TestDecayMonotoneAndComposableProperty(t *testing.T) {
-	prop := func(keys []string, aMin, bMin uint8) bool {
-		cfg := Config{M: 256, K: 4, Initial: 100, DecayPerMinute: 0.5}
-		one := MustNew(cfg, 0)
-		two := MustNew(cfg, 0)
-		for _, k := range keys {
-			_ = one.Insert(k, 0)
-			_ = two.Insert(k, 0)
-		}
-		a := time.Duration(aMin) * time.Minute
-		b := a + time.Duration(bMin)*time.Minute
-		before := snapshot(one)
-		if one.Advance(b) != nil {
-			return false
-		}
-		if two.Advance(a) != nil || two.Advance(b) != nil {
-			return false
-		}
-		sOne, sTwo := snapshot(one), snapshot(two)
-		for i := range sOne {
-			if sOne[i] > before[i] {
-				return false // grew under decay
+	cfg := Config{M: 256, K: 4, Initial: 100, DecayPerMinute: 0.5}
+	const lifetime = 200 * time.Minute
+	forShapes(t, func(t *testing.T, h int) {
+		prop := func(keys []string, aMin, bMin uint8) bool {
+			one, two := newSubject(cfg, h, 0), newSubject(cfg, h, 0)
+			if one.insert(keys, 0) != nil || two.insert(keys, 0) != nil {
+				return false
 			}
-			if math.Abs(sOne[i]-sTwo[i]) > 1e-6 {
-				return false // not composable
+			a := time.Duration(aMin) * time.Minute
+			b := a + time.Duration(bMin)*time.Minute
+			before := snapshot(one.partitions()...)
+			if one.Advance(b) != nil {
+				return false
+			}
+			if two.Advance(a) != nil || two.Advance(b) != nil {
+				return false
+			}
+			sOne, sTwo := snapshot(one.partitions()...), snapshot(two.partitions()...)
+			for i := range sOne {
+				if sOne[i] > before[i] {
+					return false // grew under decay
+				}
+				if math.Abs(sOne[i]-sTwo[i]) > 1e-6 {
+					return false // not composable
+				}
+				if b >= lifetime && sOne[i] != 0 {
+					return false // outlived its lifetime
+				}
+			}
+			return true
+		}
+		if err := quick.Check(prop, nil); err != nil {
+			t.Error(err)
+		}
+	})
+}
+
+// TestPropertyWireRoundTrip: at every shape, a filter holding part of the
+// key universe, with 45 s of decay pending, keeps exactly its membership
+// across the wire in both counter modes, lands every key's CountersFull
+// counter within the 1-byte quantization (max/255 plus one tick, max
+// bounded by the lane ceiling), and the decoded copy refuses a genuine
+// insert.
+func TestPropertyWireRoundTrip(t *testing.T) {
+	forShapes(t, func(t *testing.T, h int) {
+		cfg := tapeConfig(h)
+		f := newSubject(cfg, h, 0)
+		if err := f.insert(modelKeys[:8], 0); err != nil {
+			t.Fatal(err)
+		}
+		now := 45 * time.Second
+		tol := (float64(refLaneMax)/255 + 1) * (cfg.Initial / refInitTicks)
+		for _, mode := range []CounterMode{CountersNone, CountersFull} {
+			data, err := f.Encode(mode)
+			if err != nil {
+				t.Fatalf("encode mode %d: %v", mode, err)
+			}
+			cp, err := f.decode(data, now)
+			if err != nil {
+				t.Fatalf("decode mode %d: %v", mode, err)
+			}
+			for _, k := range modelKeys {
+				was, err1 := f.contains(k, now)
+				is, err2 := cp.contains(k, now)
+				if err1 != nil || err2 != nil {
+					t.Fatal(err1, err2)
+				}
+				if was != is {
+					t.Errorf("key %q membership %v -> %v across the wire (mode %d)", k, was, is, mode)
+				}
+				if mode != CountersFull {
+					continue
+				}
+				orig, err1 := f.minCounter(k, now)
+				got, err2 := cp.minCounter(k, now)
+				if err1 != nil || err2 != nil {
+					t.Fatal(err1, err2)
+				}
+				if math.Abs(orig-got) > tol {
+					t.Errorf("key %q counter %g -> %g beyond quantization tolerance %g", k, orig, got, tol)
+				}
+			}
+			if err := cp.insert([]string{"genuine-after-decode"}, now); !errors.Is(err, ErrMerged) {
+				t.Errorf("decoded filter accepted a genuine insert (mode %d): err %v", mode, err)
 			}
 		}
-		return true
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
-	}
+	})
 }
 
 // Property: merged filter contains everything either operand contained,
