@@ -10,11 +10,13 @@ import (
 	"bsub/internal/workload"
 )
 
-// fakeEnv is a minimal sim.Env for white-box protocol tests.
+// fakeEnv is a minimal sim.Env for white-box protocol tests. It counts
+// the deliveries it is handed.
 type fakeEnv struct {
-	nodes int
-	now   time.Duration
-	ttl   time.Duration
+	nodes     int
+	now       time.Duration
+	ttl       time.Duration
+	delivered int
 }
 
 var _ sim.Env = (*fakeEnv)(nil)
@@ -29,7 +31,7 @@ func (e *fakeEnv) InterestSet(n trace.NodeID) []workload.Key {
 	return []workload.Key{"k"}
 }
 func (e *fakeEnv) TTL() time.Duration                      { return e.ttl }
-func (e *fakeEnv) Deliver(*workload.Message, trace.NodeID) {}
+func (e *fakeEnv) Deliver(*workload.Message, trace.NodeID) { e.delivered++ }
 func (e *fakeEnv) RecordForwarding(*workload.Message)      {}
 func (e *fakeEnv) RecordReplication(bool)                  {}
 func (e *fakeEnv) RecordControl(int)                       {}

@@ -13,17 +13,19 @@ import (
 
 // newAdapterContactRig builds a two-broker BSub and returns one warm
 // broker-broker contact through OnContact, plus reseed, which restores
-// the relay filters and oracles the contact's merges keep reinforcing.
-// Both brokers relay trend-set keys — node 0 the first 24, node 1 the last
-// 24 — so the first merge unions them into trend-set-sized (38-key)
-// oracles on both sides. The clock stands still, so no counter decays and
-// iterations are comparable.
-func newAdapterContactRig(tb testing.TB, mode BrokerMergeMode) (p *BSub, contact, reseed func()) {
+// the relay filters and oracles the contact's merges keep reinforcing,
+// and the env, which counts deliveries. Both brokers relay trend-set keys
+// — node 0 the first 24, node 1 the last 24 — so the first merge unions
+// them into trend-set-sized (38-key) oracles on both sides. Node 0 holds
+// one message node 1 subscribes to, and each contact first forgets that
+// it was served, so every contact moves it in node 1's delivery pull. The
+// clock stands still, so no counter decays and iterations are comparable.
+func newAdapterContactRig(tb testing.TB, mode BrokerMergeMode) (p *BSub, contact, reseed func(), env *fakeEnv) {
 	const now = time.Hour
 	cfg := DefaultConfig(0.1)
 	cfg.BrokerMerge = mode
 	p = New(cfg)
-	env := &fakeEnv{nodes: 2, now: now, ttl: time.Hour}
+	env = &fakeEnv{nodes: 2, now: now, ttl: time.Hour}
 	if err := p.Init(env, rand.New(rand.NewSource(1))); err != nil {
 		tb.Fatal(err)
 	}
@@ -49,27 +51,34 @@ func newAdapterContactRig(tb testing.TB, mode BrokerMergeMode) (p *BSub, contact
 		}
 	}
 	reseed()
+	p.OnMessage(env, workload.Message{ID: 1, Key: "k", Origin: 0, Size: 10, CreatedAt: now})
 	// An effectively unbounded budget: no run of the rig can drain it.
 	budget := sim.NewBudget(math.MaxInt)
-	contact = func() { p.OnContact(env, 0, 1, budget) }
+	contact = func() {
+		p.nodes[0].eng.ClearSentTo(1)
+		p.OnContact(env, 0, 1, budget)
+	}
 	contact()
 	if !p.IsBroker(0) || !p.IsBroker(1) {
 		tb.Fatal("rig contact demoted a broker")
 	}
-	return p, contact, reseed
+	if env.delivered != 1 {
+		tb.Fatalf("rig contact delivered %d messages, want 1", env.delivered)
+	}
+	return p, contact, reseed, env
 }
 
 // BenchmarkAdapterContact measures one warm broker-broker contact through
 // BSub.OnContact in both merge modes: the engine session (election, relay
 // exchange, merges, pulls) plus the adapter's oracle upkeep on
-// trend-set-sized oracles.
+// trend-set-sized oracles and one delivered copy.
 func BenchmarkAdapterContact(b *testing.B) {
 	for _, c := range []struct {
 		name string
 		mode BrokerMergeMode
 	}{{"mmerge", BrokerMergeMax}, {"amerge", BrokerMergeAdditive}} {
 		b.Run(c.name, func(b *testing.B) {
-			_, contact, reseed := newAdapterContactRig(b, c.mode)
+			_, contact, reseed, _ := newAdapterContactRig(b, c.mode)
 			contact() // warm the arenas before timing
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -75,10 +75,8 @@ type BSub struct {
 	cfg   Config
 	nodes []node
 
-	// caches holds one engine.SessionCache per simulator worker, so a
-	// handful of warm scratch arenas serve the whole population instead
-	// of one arena lingering per node.
-	caches []*engine.SessionCache
+	// workers holds one scratch record per simulator worker.
+	workers []*worker
 
 	// The broker census below is cross-node diagnostic state, so it is the
 	// one piece of BSub that contacts in disjoint components still share;
@@ -90,6 +88,16 @@ type BSub struct {
 	brokerFractionSum float64
 	brokerSamples     int
 	brokerCount       int
+}
+
+// worker is one simulator worker's scratch: its engine.SessionCache, so a
+// handful of warm scratch arenas serve the whole population instead of
+// one arena lingering per node, and the message slot moveCopies reports
+// each moved copy through, so passing it to the sim.Env allocates
+// nothing.
+type worker struct {
+	cache *engine.SessionCache
+	msg   workload.Message
 }
 
 var _ sim.Protocol = (*BSub)(nil)
@@ -111,9 +119,9 @@ func (p *BSub) Init(pop sim.Population, _ *rand.Rand) error {
 		eng.Subscribe(pop.InterestSet(trace.NodeID(i))...)
 		p.nodes[i] = node{id: trace.NodeID(i), eng: eng}
 	}
-	p.caches = make([]*engine.SessionCache, pop.Workers())
-	for i := range p.caches {
-		p.caches[i] = engine.NewSessionCache()
+	p.workers = make([]*worker, pop.Workers())
+	for i := range p.workers {
+		p.workers[i] = &worker{cache: engine.NewSessionCache()}
 	}
 	return nil
 }
@@ -144,7 +152,7 @@ func (p *BSub) OnContact(env sim.Env, aID, bID trace.NodeID, budget *sim.Budget)
 	// apply the exchanged verdicts — the same simultaneous round trip the
 	// live node performs. Sessions draw their scratch arenas from the
 	// executing worker's cache.
-	cache := p.caches[env.Worker()]
+	cache := p.workers[env.Worker()].cache
 	sa := a.eng.BeginContact(cache, budget, now)
 	sb := b.eng.BeginContact(cache, budget, now)
 	sa.SetPeer(sb.Hello())
@@ -324,6 +332,7 @@ const (
 // the copy at dst and reports it to the metrics, stopping when the
 // contact's budget runs out.
 func (p *BSub) moveCopies(env sim.Env, ph phase, transfers []engine.Transfer, src *node, ss *engine.Session, dst *node, now time.Duration) {
+	m := &p.workers[env.Worker()].msg
 	for _, t := range transfers {
 		if ph == phaseForward && dst.eng.HasCarried(t.Msg.ID) {
 			src.eng.DropCarried(t.Msg.ID) // duplicate copy: collapse it
@@ -337,26 +346,26 @@ func (p *BSub) moveCopies(env sim.Env, ph phase, transfers []engine.Transfer, sr
 			continue
 		}
 		claim.Commit()
-		m := claim.Msg()
+		*m = claim.Msg()
 		switch ph {
 		case phaseForward:
-			acc := dst.eng.AcceptCarried(m, claim.Payload(), now)
-			env.RecordForwarding(&m)
+			acc := dst.eng.AcceptCarried(*m, claim.Payload(), now)
+			env.RecordForwarding(m)
 			if acc.Delivered {
-				env.Deliver(&m, dst.id)
+				env.Deliver(m, dst.id)
 			}
 		case phaseDelivery:
-			env.RecordForwarding(&m)
-			env.Deliver(&m, dst.id)
-			dst.eng.ReceiveDelivery(m, int(src.id), now)
+			env.RecordForwarding(m)
+			env.Deliver(m, dst.id)
+			dst.eng.ReceiveDelivery(*m, int(src.id), now)
 		case phaseReplication:
-			acc := dst.eng.AcceptCarried(m, claim.Payload(), now)
-			env.RecordForwarding(&m)
+			acc := dst.eng.AcceptCarried(*m, claim.Payload(), now)
+			env.RecordForwarding(m)
 			p.advanceOracle(dst, now)
 			genuineMatch := dst.oracle.active() && dst.oracle.genuine(m.MatchKeys())
 			env.RecordReplication(!genuineMatch)
 			if acc.Delivered {
-				env.Deliver(&m, dst.id)
+				env.Deliver(m, dst.id)
 			}
 		}
 	}

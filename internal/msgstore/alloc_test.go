@@ -7,11 +7,12 @@ import (
 	"time"
 )
 
-// TestStoreLiveAllocationFree pins the in-place index merge: on a warm
-// store, reading after an add merges the new ID into the index without a
-// fresh buffer. Each run indexes one new ID (its slot was swept by the
-// previous read) and one re-added ID (its stale slot still indexed).
-// Excluded under -race (the race runtime allocates during bookkeeping).
+// TestStoreLiveAllocationFree pins a warm store's add-and-read cycle at
+// zero allocations: a removed copy added back is an insert in place, into
+// capacity the store already has, and Live returns the store's own copy
+// slice. Each run adds back one ID removed before a read and one removed
+// just before its add. Excluded under -race (the race runtime allocates
+// during bookkeeping).
 func TestStoreLiveAllocationFree(t *testing.T) {
 	s := New()
 	var copies []*Copy
@@ -33,7 +34,7 @@ func TestStoreLiveAllocationFree(t *testing.T) {
 			t.Fatalf("live returned %d copies, want %d", got, len(copies))
 		}
 	}
-	cycle() // warm the index and read buffers
+	cycle() // warm the store
 	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
 		t.Errorf("warm add+read: %g allocs per run, want 0", avg)
 	}

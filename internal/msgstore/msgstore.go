@@ -3,12 +3,13 @@
 // store of message copies with lazy TTL expiry and deterministic
 // (ID-ordered) iteration.
 //
-// Live is called once or twice per contact on hot paths, so the store
-// maintains its ID-ordered index incrementally: new IDs accumulate in a
-// small pending list that is merged, in place, into the main index on the
-// next read instead of re-sorting the whole buffer every contact, and the
-// slice Live returns is a buffer reused call to call. A warm add-and-read
-// cycle allocates nothing.
+// A store is two parallel slices kept in ascending ID order: the IDs and
+// their copies. Stores are small (a few live copies per node in the
+// paper's replays), so Has, Get and Remove binary-search the IDs, Add
+// appends when the ID is above every stored one (a producer's own
+// messages always are) and inserts in place otherwise, and Live is one
+// pass that compacts expired copies out and returns the copy slice
+// itself. A warm add-and-read cycle allocates nothing.
 //
 // Read methods are nil-receiver-safe (a nil store reads as empty), which
 // lets owners allocate stores lazily: most nodes in a million-node
@@ -17,7 +18,7 @@
 package msgstore
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"bsub/internal/tcbf"
@@ -62,29 +63,52 @@ func (c *Copy) MarkSent(peer int) {
 func (c *Copy) UnmarkSent(peer int) { delete(c.sent, peer) }
 
 // Store holds message copies for one node, keyed by message ID. The zero
-// value is not usable; construct with New.
+// value is an empty store.
 type Store struct {
-	entries map[int]*Copy
-	// sorted is an ascending index of (possibly stale) message IDs; stale
-	// slots are swept during Live.
-	sorted []int
-	// pending are IDs added since the last Live call.
-	pending []int
-	// liveBuf backs the slice Live returns, reused call to call.
-	liveBuf []*Copy
+	// ids is ascending; copies[i] is the copy of message ids[i].
+	ids    []int
+	copies []*Copy
 }
 
 // New returns an empty store.
-func New() *Store { return &Store{entries: make(map[int]*Copy)} }
+func New() *Store { return &Store{} }
 
-// Add inserts (or replaces) a copy, keyed by its message ID.
+// find binary-searches ids for id, returning where it is or would be
+// inserted and whether it is there. Written out, the search inlines into
+// its callers, which a generic slices.BinarySearch call does not.
+//
+//bsub:hotpath
+func (s *Store) find(id int) (int, bool) {
+	lo, hi := 0, len(s.ids)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s.ids[m] < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(s.ids) && s.ids[lo] == id
+}
+
+// Add inserts (or replaces) a copy, keyed by its message ID. An ID above
+// every stored one appends, as a producer's own messages always do.
 //
 //bsub:hotpath
 func (s *Store) Add(c *Copy) {
-	if _, exists := s.entries[c.Msg.ID]; !exists {
-		s.pending = append(s.pending, c.Msg.ID)
+	id := c.Msg.ID
+	if n := len(s.ids); n == 0 || s.ids[n-1] < id {
+		s.ids = append(s.ids, id)
+		s.copies = append(s.copies, c)
+		return
 	}
-	s.entries[c.Msg.ID] = c
+	i, ok := s.find(id)
+	if ok {
+		s.copies[i] = c
+		return
+	}
+	s.ids = slices.Insert(s.ids, i, id)
+	s.copies = slices.Insert(s.copies, i, c)
 }
 
 // Has reports whether the store holds message id (possibly expired).
@@ -94,7 +118,7 @@ func (s *Store) Has(id int) bool {
 	if s == nil {
 		return false
 	}
-	_, ok := s.entries[id]
+	_, ok := s.find(id)
 	return ok
 }
 
@@ -105,17 +129,23 @@ func (s *Store) Get(id int) *Copy {
 	if s == nil {
 		return nil
 	}
-	return s.entries[id]
+	if i, ok := s.find(id); ok {
+		return s.copies[i]
+	}
+	return nil
 }
 
-// Remove drops message id if present. Its index slot is swept lazily.
+// Remove drops message id if present.
 //
 //bsub:hotpath
 func (s *Store) Remove(id int) {
 	if s == nil {
 		return
 	}
-	delete(s.entries, id)
+	if i, ok := s.find(id); ok {
+		s.ids = slices.Delete(s.ids, i, i+1)
+		s.copies = slices.Delete(s.copies, i, i+1)
+	}
 }
 
 // Len returns the number of stored copies, including not-yet-purged
@@ -126,38 +156,34 @@ func (s *Store) Len() int {
 	if s == nil {
 		return 0
 	}
-	return len(s.entries)
+	return len(s.ids)
 }
 
-// Live returns the unexpired copies sorted by ID, purging expired ones
-// (and sweeping stale index slots) as a side effect. A copy expires once
-// now passes its ExpiresAt; at exactly ExpiresAt it is still live. The
-// returned slice is valid until the next Store call — the backing buffer
-// is reused by the next Live call.
+// Live returns the unexpired copies sorted by ID, purging expired ones as
+// a side effect. A copy expires once now passes its ExpiresAt; at exactly
+// ExpiresAt it is still live. The returned slice is the store's own: it
+// is valid until the next Store call, and callers must not modify it.
 //
 //bsub:hotpath
 func (s *Store) Live(now time.Duration) []*Copy {
 	if s == nil {
 		return nil
 	}
-	s.settleIndex()
-	out := s.liveBuf[:0]
-	kept := s.sorted[:0]
-	for _, id := range s.sorted {
-		c, ok := s.entries[id]
-		if !ok {
-			continue // removed: sweep
-		}
+	w := 0
+	for i, c := range s.copies {
 		if now > c.ExpiresAt {
-			delete(s.entries, id)
 			continue
 		}
-		kept = append(kept, id)
-		out = append(out, c)
+		if w < i {
+			s.ids[w], s.copies[w] = s.ids[i], c
+		}
+		w++
 	}
-	s.sorted = kept
-	s.liveBuf = out
-	return out
+	if w < len(s.copies) {
+		clear(s.copies[w:])
+		s.ids, s.copies = s.ids[:w], s.copies[:w]
+	}
+	return s.copies
 }
 
 // IDs returns all present IDs (possibly expired) in ascending order.
@@ -165,12 +191,7 @@ func (s *Store) IDs() []int {
 	if s == nil {
 		return nil
 	}
-	out := make([]int, 0, len(s.entries))
-	for id := range s.entries {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
+	return append(make([]int, 0, len(s.ids)), s.ids...)
 }
 
 // ClearSentTo forgets, on every copy, that it was served to peer.
@@ -178,44 +199,7 @@ func (s *Store) ClearSentTo(peer int) {
 	if s == nil {
 		return
 	}
-	for _, c := range s.entries {
+	for _, c := range s.copies {
 		c.UnmarkSent(peer)
 	}
-}
-
-// settleIndex merges pending IDs into the sorted index, in place: the
-// index grows by len(pending) and the merge runs from the back, so no
-// unread index slot is overwritten and no second buffer is needed. A
-// re-added ID (removed, then added again before its stale slot was swept)
-// meets its old slot in the merge and keeps one of the two; the gap those
-// collapses leave is compacted out at the end.
-//
-//bsub:coldpath
-func (s *Store) settleIndex() {
-	if len(s.pending) == 0 {
-		return
-	}
-	sort.Ints(s.pending)
-	n := len(s.sorted)
-	s.sorted = append(s.sorted, s.pending...)
-	i, j, w := n-1, len(s.pending)-1, len(s.sorted)-1
-	for ; j >= 0; w-- {
-		switch {
-		case i >= 0 && s.sorted[i] > s.pending[j]:
-			s.sorted[w] = s.sorted[i]
-			i--
-		case i >= 0 && s.sorted[i] == s.pending[j]: // re-added ID already indexed
-			s.sorted[w] = s.sorted[i]
-			i, j = i-1, j-1
-		default:
-			s.sorted[w] = s.pending[j]
-			j--
-		}
-	}
-	// s.sorted[:i+1] is unmerged and in place; close the gap of w-i slots
-	// the collapses left after it.
-	if w > i {
-		s.sorted = append(s.sorted[:i+1], s.sorted[w+1:]...)
-	}
-	s.pending = s.pending[:0]
 }

@@ -154,57 +154,85 @@ func TestSentToAndClear(t *testing.T) {
 	}
 }
 
-// referenceSettle is the index merge settleIndex replaced: a forward merge
-// into a freshly allocated slice, collapsing each re-added ID with its
-// stale slot.
-func referenceSettle(sorted, pending []int) []int {
-	pending = slices.Clone(pending)
-	sort.Ints(pending)
-	merged := make([]int, 0, len(sorted)+len(pending))
-	i, j := 0, 0
-	for i < len(sorted) && j < len(pending) {
-		switch {
-		case sorted[i] < pending[j]:
-			merged = append(merged, sorted[i])
-			i++
-		case sorted[i] > pending[j]:
-			merged = append(merged, pending[j])
-			j++
-		default:
-			merged = append(merged, sorted[i])
-			i, j = i+1, j+1
+// refLive is the reference Live: the unexpired copies of ref in ID order
+// (a sort over the map's keys), purging the expired ones from ref.
+func refLive(ref map[int]*Copy, now time.Duration) []*Copy {
+	ids := make([]int, 0, len(ref))
+	for id, c := range ref {
+		if now > c.ExpiresAt {
+			delete(ref, id)
+			continue
 		}
+		ids = append(ids, id)
 	}
-	merged = append(merged, sorted[i:]...)
-	return append(merged, pending[j:]...)
+	sort.Ints(ids)
+	out := make([]*Copy, len(ids))
+	for i, id := range ids {
+		out[i] = ref[id]
+	}
+	return out
 }
 
-// TestSettleIndexMatchesReference drives a store through seeded random
-// adds, removals, re-adds and reads, and checks that every in-place merge
-// leaves exactly the index the allocating merge produced.
-func TestSettleIndexMatchesReference(t *testing.T) {
+// TestStoreMatchesMapReference drives a store through seeded random adds,
+// re-adds, replacements, removals and reads, with expiries around a clock
+// that moves forward, and checks every read against a map[int]*Copy
+// reference whose ID order comes from a sort.
+func TestStoreMatchesMapReference(t *testing.T) {
+	var adds, readds, replaces int
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		s := New()
-		for step := 0; step < 400; step++ {
+		s, ref, held := New(), map[int]*Copy{}, map[int]bool{}
+		var now time.Duration
+		for step := 0; step < 600; step++ {
 			id := rng.Intn(40)
-			switch op := rng.Intn(10); {
-			case op < 5:
-				s.Add(copyOf(id, time.Hour))
-			case op < 8:
+			switch rng.Intn(10) {
+			case 0, 1, 2:
+				switch _, present := ref[id]; {
+				case present:
+					replaces++
+				case held[id]:
+					readds++
+				default:
+					adds++
+				}
+				c := copyOf(id, now+time.Duration(rng.Intn(5)-1)*time.Minute)
+				s.Add(c)
+				ref[id], held[id] = c, true
+			case 3:
 				s.Remove(id)
+				delete(ref, id)
+			case 4:
+				if got, want := s.Get(id), ref[id]; got != want {
+					t.Fatalf("seed %d step %d: Get(%d) = %p, want %p", seed, step, id, got, want)
+				}
+			case 5:
+				if got, want := s.Has(id), ref[id] != nil; got != want {
+					t.Fatalf("seed %d step %d: Has(%d) = %v, want %v", seed, step, id, got, want)
+				}
+			case 6:
+				if got, want := s.Len(), len(ref); got != want {
+					t.Fatalf("seed %d step %d: Len = %d, want %d", seed, step, got, want)
+				}
+			case 7:
+				want := make([]int, 0, len(ref))
+				for id := range ref {
+					want = append(want, id)
+				}
+				sort.Ints(want)
+				if got := s.IDs(); !slices.Equal(got, want) {
+					t.Fatalf("seed %d step %d: IDs = %v, want %v", seed, step, got, want)
+				}
+			case 8:
+				now += time.Duration(rng.Intn(3)) * time.Minute
 			default:
-				want := referenceSettle(s.sorted, s.pending)
-				s.settleIndex()
-				if !slices.Equal(s.sorted, want) {
-					t.Fatalf("seed %d step %d: index %v, want %v", seed, step, s.sorted, want)
+				if got, want := s.Live(now), refLive(ref, now); !slices.Equal(got, want) {
+					t.Fatalf("seed %d step %d: Live(%v) = %v, want %v", seed, step, now, got, want)
 				}
-				if len(s.pending) != 0 {
-					t.Fatalf("seed %d step %d: %d IDs left pending", seed, step, len(s.pending))
-				}
-				s.Live(0)
 			}
 		}
+	}
+	if adds == 0 || readds == 0 || replaces == 0 {
+		t.Errorf("tapes never exercised every add: %d adds, %d re-adds, %d replacements", adds, readds, replaces)
 	}
 }
 

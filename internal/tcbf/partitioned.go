@@ -140,10 +140,28 @@ func (p *Partitioned) MinCounterPre(k PreKey, now time.Duration) (float64, error
 	return p.parts[p.routePre(k)].MinCounterPre(k, now)
 }
 
+// checkClock refuses now if any partition's clock is ahead of it. An
+// insert advances only its key's partition, so the clocks can differ;
+// checking them all first lets a refused call leave every partition as it
+// was.
+//
+//bsub:hotpath
+func (p *Partitioned) checkClock(now time.Duration) error {
+	for _, f := range p.parts {
+		if err := f.checkClock(now); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Advance settles decay on every partition.
 //
 //bsub:hotpath
 func (p *Partitioned) Advance(now time.Duration) error {
+	if err := p.checkClock(now); err != nil {
+		return err
+	}
 	for _, f := range p.parts {
 		if err := f.Advance(now); err != nil {
 			return err
@@ -156,6 +174,9 @@ func (p *Partitioned) Advance(now time.Duration) error {
 //
 //bsub:hotpath
 func (p *Partitioned) SetDecayFactor(perMinute float64, now time.Duration) error {
+	if err := p.checkClock(now); err != nil {
+		return err
+	}
 	for _, f := range p.parts {
 		if err := f.SetDecayFactor(perMinute, now); err != nil {
 			return err
@@ -177,11 +198,26 @@ func (p *Partitioned) checkCompatible(other *Partitioned) error {
 	return nil
 }
 
+// checkMerge refuses a merge whose filters differ in shape or whose clock
+// precedes a partition's clock in either filter, before any partition
+// changes.
+//
+//bsub:hotpath
+func (p *Partitioned) checkMerge(other *Partitioned, now time.Duration) error {
+	if err := p.checkCompatible(other); err != nil {
+		return err
+	}
+	if err := p.checkClock(now); err != nil {
+		return err
+	}
+	return other.checkClock(now)
+}
+
 // AMerge merges other into p additively, partition-wise.
 //
 //bsub:hotpath
 func (p *Partitioned) AMerge(other *Partitioned, now time.Duration) error {
-	if err := p.checkCompatible(other); err != nil {
+	if err := p.checkMerge(other, now); err != nil {
 		return err
 	}
 	for i, f := range p.parts {
@@ -196,7 +232,7 @@ func (p *Partitioned) AMerge(other *Partitioned, now time.Duration) error {
 //
 //bsub:hotpath
 func (p *Partitioned) MMerge(other *Partitioned, now time.Duration) error {
-	if err := p.checkCompatible(other); err != nil {
+	if err := p.checkMerge(other, now); err != nil {
 		return err
 	}
 	for i, f := range p.parts {

@@ -226,8 +226,8 @@ func (f *Filter) SetDecayFactor(perMinute float64, now time.Duration) error {
 //
 //bsub:hotpath
 func (f *Filter) Advance(now time.Duration) error {
-	if now < f.last {
-		return fmt.Errorf("%w: filter at %v, operation at %v", ErrClockSkew, f.last, now)
+	if err := f.checkClock(now); err != nil {
+		return err
 	}
 	elapsed := now - f.last
 	f.last = now
@@ -246,6 +246,16 @@ func (f *Filter) Advance(now time.Duration) error {
 			t = laneMax // lanes cannot exceed laneMax, so deeper debt is moot
 		}
 		f.pendingTicks = uint32(t)
+	}
+	return nil
+}
+
+// checkClock refuses an operation whose clock precedes the filter's.
+//
+//bsub:hotpath
+func (f *Filter) checkClock(now time.Duration) error {
+	if now < f.last {
+		return fmt.Errorf("%w: filter at %v, operation at %v", ErrClockSkew, f.last, now)
 	}
 	return nil
 }
@@ -485,6 +495,11 @@ func (f *Filter) mergeCheck(other *Filter, now time.Duration) error {
 	}
 	if f.cfg.Initial != other.cfg.Initial {
 		return fmt.Errorf("%w: counter scale C=%g vs C=%g", ErrGeometry, f.cfg.Initial, other.cfg.Initial)
+	}
+	// Check both clocks before advancing either, so a refused merge
+	// leaves f as it was.
+	if err := other.checkClock(now); err != nil {
+		return err
 	}
 	if err := f.Advance(now); err != nil {
 		return err

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -117,38 +118,118 @@ func TestZeroDFNeverDecays(t *testing.T) {
 }
 
 // TestClockSkewRejected calls every temporal entry point of each shape with
-// a clock earlier than the filter's: each must refuse with ErrClockSkew,
-// and the refusal must leave the DF as it was (a retune that drops the
-// error would still apply it). DecodeInto is left out: it restarts the
-// filter's clock at its now.
+// a clock earlier than the filter's: each must refuse with ErrClockSkew and
+// leave both filters as they were, every partition's counters, clock,
+// merged flag and DF included (a retune that drops the error would still
+// apply it). Besides the shapes built at one clock, a bare filter's merge
+// peer is put ahead alone, and two h=3 cases put one partition ahead of
+// the others, as an insert does to its key's partition: the filter's own,
+// where every call must refuse, and the merge peer's, where both merges
+// must. DecodeInto is left out: it restarts the filter's clock at its
+// now.
 func TestClockSkewRejected(t *testing.T) {
 	pre := Precompute("x")
 	calls := []struct {
 		name string
-		call func(f, peer subject) error
+		call func(f, peer subject, now time.Duration) error
 	}{
-		{"insert", func(f, _ subject) error { return f.insert([]string{"x"}, 0) }},
-		{"InsertPre", func(f, _ subject) error { return f.InsertPre(pre, 0) }},
-		{"Advance", func(f, _ subject) error { return f.Advance(0) }},
-		{"SetDecayFactor", func(f, _ subject) error { return f.SetDecayFactor(2, 0) }},
-		{"AMerge", func(f, peer subject) error { return f.merge(peer, 0, true) }},
-		{"MMerge", func(f, peer subject) error { return f.merge(peer, 0, false) }},
-		{"ContainsPre", func(f, _ subject) error { _, err := f.ContainsPre(pre, 0); return err }},
-		{"MinCounterPre", func(f, _ subject) error { _, err := f.MinCounterPre(pre, 0); return err }},
+		{"insert", func(f, _ subject, now time.Duration) error { return f.insert([]string{"x"}, now) }},
+		{"InsertPre", func(f, _ subject, now time.Duration) error { return f.InsertPre(pre, now) }},
+		{"Advance", func(f, _ subject, now time.Duration) error { return f.Advance(now) }},
+		{"SetDecayFactor", func(f, _ subject, now time.Duration) error { return f.SetDecayFactor(2, now) }},
+		{"AMerge", func(f, peer subject, now time.Duration) error { return f.merge(peer, now, true) }},
+		{"MMerge", func(f, peer subject, now time.Duration) error { return f.merge(peer, now, false) }},
+		{"ContainsPre", func(f, _ subject, now time.Duration) error { _, err := f.ContainsPre(pre, now); return err }},
+		{"MinCounterPre", func(f, _ subject, now time.Duration) error { _, err := f.MinCounterPre(pre, now); return err }},
 	}
+	// whole puts every partition's clock ahead of the call; partOfX only
+	// the partition "x" routes to, which at h=3 is not partition 0, so a
+	// partition-by-partition loop meets it after changing another.
+	whole := func(s subject) error { return s.Advance(time.Hour) }
+	partOfX := func(s subject) error {
+		parts := s.partitions()
+		i := int(pre.route % uint32(len(parts)))
+		if i == 0 {
+			t.Fatal("x routes to partition 0; skew a partition a partition-wise loop reaches later")
+		}
+		return parts[i].Advance(time.Hour)
+	}
+	type skewCase struct {
+		name             string
+		h                int
+		selfAhead        func(subject) error
+		peerAhead        func(subject) error
+		refusesOnlyMerge bool
+	}
+	var cases []skewCase
 	for _, sh := range shapes {
+		cases = append(cases, skewCase{name: sh.name, h: sh.h, selfAhead: whole, peerAhead: whole})
+	}
+	cases = append(cases,
+		skewCase{name: "filter-peer-ahead", h: 0, peerAhead: whole, refusesOnlyMerge: true},
+		skewCase{name: "part3-self-partition-ahead", h: 3, selfAhead: partOfX},
+		skewCase{name: "part3-peer-partition-ahead", h: 3, peerAhead: partOfX, refusesOnlyMerge: true})
+	for _, sc := range cases {
 		for _, c := range calls {
-			t.Run(sh.name+"/"+c.name, func(t *testing.T) {
-				f, peer := newSubject(testConfig(), sh.h, time.Hour), newSubject(testConfig(), sh.h, time.Hour)
-				if err := c.call(f, peer); !errors.Is(err, ErrClockSkew) {
+			if sc.refusesOnlyMerge && c.name != "AMerge" && c.name != "MMerge" {
+				continue
+			}
+			t.Run(sc.name+"/"+c.name, func(t *testing.T) {
+				f, peer := newSubject(testConfig(), sc.h, 0), newSubject(testConfig(), sc.h, 0)
+				keys := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
+				if err := f.insert(keys[:4], 0); err != nil {
+					t.Fatal(err)
+				}
+				if err := peer.insert(keys[4:], 0); err != nil {
+					t.Fatal(err)
+				}
+				for _, ahead := range []struct {
+					s   subject
+					fwd func(subject) error
+				}{{f, sc.selfAhead}, {peer, sc.peerAhead}} {
+					if ahead.fwd == nil {
+						continue
+					}
+					if err := ahead.fwd(ahead.s); err != nil {
+						t.Fatal(err)
+					}
+				}
+				fBefore, peerBefore := statesOf(f), statesOf(peer)
+				if err := c.call(f, peer, 30*time.Minute); !errors.Is(err, ErrClockSkew) {
 					t.Errorf("error = %v, want ErrClockSkew", err)
 				}
 				if got, want := f.Config().DecayPerMinute, testConfig().DecayPerMinute; got != want {
 					t.Errorf("DF = %g after a refused call, want %g", got, want)
 				}
+				if got := statesOf(f); !reflect.DeepEqual(got, fBefore) {
+					t.Errorf("refused call changed the filter:\n got %+v\nwant %+v", got, fBefore)
+				}
+				if got := statesOf(peer); !reflect.DeepEqual(got, peerBefore) {
+					t.Errorf("refused call changed the peer:\n got %+v\nwant %+v", got, peerBefore)
+				}
 			})
 		}
 	}
+}
+
+// filterState is one partition's full state: counters, clock, pending
+// decay, DF and merged flag.
+type filterState struct {
+	words                   []uint64
+	cfg                     Config
+	last                    time.Duration
+	merged                  bool
+	tickNanos, pendingNanos int64
+	pendingTicks            uint32
+}
+
+// statesOf snapshots every partition of s.
+func statesOf(s subject) []filterState {
+	var out []filterState
+	for _, f := range s.partitions() {
+		out = append(out, filterState{slices.Clone(f.words), f.cfg, f.last, f.merged, f.tickNanos, f.pendingNanos, f.pendingTicks})
+	}
+	return out
 }
 
 func TestInsertIntoMergedFilterFails(t *testing.T) {
