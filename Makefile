@@ -107,8 +107,8 @@ golden:
 	$(GO) test -count=1 -run TestGoldenCSVs ./cmd/experiments
 
 # bench-smoke runs the contact benchmarks — a contact's message-store
-# work, the engine session and the simulator adapter's broker-broker
-# contact on top of it — and the relay filter codec benchmarks (one warm
+# work, its election-window work, the engine session and the simulator
+# adapter's contacts on top of it — and the relay filter codec benchmarks (one warm
 # filter each way, and a round-robin over a few thousand cold relay
 # filters) a handful of iterations, so a PR that breaks the benchmark
 # harness fails the gate without a full bench run. Every case warms up
@@ -116,7 +116,7 @@ golden:
 # enforces it.
 bench-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkStoreContact -benchtime 10x ./internal/msgstore
-	$(GO) test -run '^$$' -bench BenchmarkEngineContact -benchtime 10x ./internal/engine
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineContact|BenchmarkElectionWindow' -benchtime 10x ./internal/engine
 	$(GO) test -run '^$$' -bench BenchmarkAdapterContact -benchtime 10x ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkEncodeTo$$|BenchmarkDecodeInto$$|BenchmarkPopulationCodec$$' -benchtime 10x ./internal/tcbf
 

@@ -146,7 +146,11 @@ type (
 
 // NewEngine returns a protocol engine for one node.
 func NewEngine(id int, cfg ProtocolConfig, ttl time.Duration) (*Engine, error) {
-	return engine.NewNode(id, cfg, ttl)
+	params, err := engine.NewParams(cfg, ttl)
+	if err != nil {
+		return nil, err
+	}
+	return params.NewNode(id), nil
 }
 
 // DefaultProtocolConfig returns the paper's evaluation parameters with the

@@ -110,12 +110,13 @@ func (p *BSub) Name() string { return "B-SUB" }
 
 // Init implements sim.Protocol.
 func (p *BSub) Init(pop sim.Population, _ *rand.Rand) error {
+	params, err := engine.NewParams(p.cfg, pop.TTL())
+	if err != nil {
+		return err
+	}
 	p.nodes = make([]node, pop.Nodes())
 	for i := range p.nodes {
-		eng, err := engine.NewNode(i, p.cfg, pop.TTL())
-		if err != nil {
-			return err
-		}
+		eng := params.NewNode(i)
 		eng.Subscribe(pop.InterestSet(trace.NodeID(i))...)
 		p.nodes[i] = node{id: trace.NodeID(i), eng: eng}
 	}

@@ -53,14 +53,11 @@ func newContactRig(tb testing.TB, c contactCase) (contact, reseed func()) {
 	now := time.Hour
 	cfg := DefaultConfig(0.01)
 	cfg.BrokerMerge = c.mode
-	left, err := NewNode(1, cfg, ttl)
+	params, err := NewParams(cfg, ttl)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	right, err := NewNode(2, cfg, ttl)
-	if err != nil {
-		tb.Fatal(err)
-	}
+	left, right := params.NewNode(1), params.NewNode(2)
 	left.Subscribe("news")
 	right.Subscribe("sports")
 
@@ -201,6 +198,43 @@ func BenchmarkEngineContact(b *testing.B) {
 					reseed()
 				}
 				contact()
+			}
+		})
+	}
+}
+
+// BenchmarkElectionWindow measures one contact's election-window work on a
+// user whose window holds 8 or 80 peers (80 is about Haggle's degree):
+// record the meeting, read the degree and the DFOnlineEq5 horizon count,
+// record the peer as a broker sighting, and take the broker census. Each
+// iteration meets the peer met longest ago, one second after the last
+// contact, so the window slides without anything expiring and the peer
+// scans run their full length.
+func BenchmarkElectionWindow(b *testing.B) {
+	for _, peers := range []int{8, 80} {
+		b.Run(fmt.Sprintf("peers=%d", peers), func(b *testing.B) {
+			const ttl = 100 * time.Hour
+			params, err := NewParams(DefaultConfig(0.01), ttl)
+			if err != nil {
+				b.Fatal(err)
+			}
+			n := params.NewNode(0)
+			now := time.Hour
+			contact := func(i int) {
+				now += time.Second
+				peer := 1 + i%peers
+				n.RecordMeeting(peer, now)
+				d := n.Degree(now) + n.countPeers(now, ttl)
+				n.RecordBrokerSighting(peer, d, now)
+				n.brokersInWindow(now)
+			}
+			for i := 0; i < peers; i++ { // fill the window before timing
+				contact(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				contact(i)
 			}
 		})
 	}

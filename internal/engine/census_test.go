@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"maps"
 	"testing"
 	"time"
@@ -55,14 +56,68 @@ func (r *refCensus) countPeers(now, window time.Duration) int {
 	return d
 }
 
-// TestWindowedCensusMatchesFullScan drives the O(1) degree and broker
-// census against the full-scan reference on seeded random histories:
+// meetingsMap returns n's meeting window as a peer -> time map. A peer
+// listed twice collapses here; windowsFault reports that.
+func meetingsMap(n *Node) map[NodeID]time.Duration {
+	m := make(map[NodeID]time.Duration, len(n.meetings))
+	for _, e := range n.meetings {
+		m[e.peer] = e.at
+	}
+	return m
+}
+
+// sightingsMap returns n's sighting window as a peer -> sighting map.
+func sightingsMap(n *Node) map[NodeID]sighting {
+	m := make(map[NodeID]sighting, len(n.sightings))
+	for _, e := range n.sightings {
+		m[e.peer] = e
+	}
+	return m
+}
+
+// windowsFault describes the first broken invariant of n's election
+// windows, or returns "": each window is in ascending time order with one
+// entry per peer, and a running degree sum that is not wide equals the
+// surviving sightings' degree sum.
+func windowsFault(n *Node) string {
+	peers := map[NodeID]bool{}
+	for i, e := range n.meetings {
+		if i > 0 && n.meetings[i-1].at > e.at {
+			return fmt.Sprintf("meetings out of time order at %d: %v", i, n.meetings)
+		}
+		if peers[e.peer] {
+			return fmt.Sprintf("peer %d met twice: %v", e.peer, n.meetings)
+		}
+		peers[e.peer] = true
+	}
+	clear(peers)
+	sum := 0
+	for i, e := range n.sightings {
+		if i > 0 && n.sightings[i-1].at > e.at {
+			return fmt.Sprintf("sightings out of time order at %d: %v", i, n.sightings)
+		}
+		if peers[e.peer] {
+			return fmt.Sprintf("broker %d sighted twice: %v", e.peer, n.sightings)
+		}
+		peers[e.peer] = true
+		sum += e.degree
+	}
+	if !n.sightWide && int(n.sightSum) != sum {
+		return fmt.Sprintf("running degree sum %d, survivors sum to %d", n.sightSum, sum)
+	}
+	return ""
+}
+
+// TestWindowedCensusMatchesFullScan drives the time-ordered election
+// windows against the full-scan map reference on seeded random histories:
 // record times out of order (as concurrent live sessions produce them),
 // brokers re-sighted with new degrees, Elect's demotion removal through a
 // real session, absurd degrees that push the running sum out of int32
 // range, and countPeers after pruning. Every call must return the same
-// count and mean degree and leave the same map contents. A failure names
-// its seed and step, so it replays exactly.
+// count and mean degree and leave the same window contents as the
+// reference's maps, and after every step both windows must be time-ordered
+// and peer-unique, with a non-wide running sum equal to the survivors'
+// degree sum. A failure names its seed and step, so it replays exactly.
 func TestWindowedCensusMatchesFullScan(t *testing.T) {
 	var seen struct {
 		outOfOrder, resighted, demoted, prunedMeet, prunedSight, wide int
@@ -99,11 +154,14 @@ func TestWindowedCensusMatchesFullScan(t *testing.T) {
 		}
 		check := func(step int, op string) {
 			t.Helper()
-			if !maps.Equal(n.meetings, ref.meetings) {
-				t.Fatalf("seed %d step %d (%s): meetings %v, reference %v", seed, step, op, n.meetings, ref.meetings)
+			if got := meetingsMap(n); !maps.Equal(got, ref.meetings) {
+				t.Fatalf("seed %d step %d (%s): meetings %v, reference %v", seed, step, op, got, ref.meetings)
 			}
-			if !maps.Equal(n.sightings, ref.sightings) {
-				t.Fatalf("seed %d step %d (%s): sightings %v, reference %v", seed, step, op, n.sightings, ref.sightings)
+			if got := sightingsMap(n); !maps.Equal(got, ref.sightings) {
+				t.Fatalf("seed %d step %d (%s): sightings %v, reference %v", seed, step, op, got, ref.sightings)
+			}
+			if fault := windowsFault(n); fault != "" {
+				t.Fatalf("seed %d step %d (%s): %s", seed, step, op, fault)
 			}
 		}
 		for step := 0; step < 4000; step++ {
@@ -127,7 +185,7 @@ func TestWindowedCensusMatchesFullScan(t *testing.T) {
 					seen.wide++
 				}
 				n.RecordBrokerSighting(peer, d, at)
-				ref.sightings[peer] = sighting{at: at, degree: d}
+				ref.sightings[peer] = sighting{peer: peer, at: at, degree: d}
 				check(step, "RecordBrokerSighting")
 			case 2: // degree at a query time that may trail some records
 				now := jitter()
@@ -163,7 +221,7 @@ func TestWindowedCensusMatchesFullScan(t *testing.T) {
 				s.SetPeer(Hello{ID: peer, Broker: true, Degree: d})
 				ref.meetings[peer] = now
 				act := s.Elect()
-				ref.sightings[peer] = sighting{at: now, degree: d}
+				ref.sightings[peer] = sighting{peer: peer, at: now, degree: d}
 				count, mean := ref.brokers(now)
 				want := ActNone
 				if count > cfg.BrokerHigh && float64(d) < mean {
@@ -195,13 +253,13 @@ func TestWindowedCensusMatchesFullScan(t *testing.T) {
 }
 
 // TestNodeSizeClass pins the per-node footprint the million-node simulator
-// depends on: Node stays in the 288-byte allocation class. Growing it shows
+// depends on: Node stays in the 160-byte allocation class. Growing it shows
 // up as RSS per node. (msgstore's TestCopySizeClass pins a message copy.)
 func TestNodeSizeClass(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit platforms")
 	}
-	if got := unsafe.Sizeof(Node{}); got > 288 {
-		t.Errorf("unsafe.Sizeof(Node{}) = %d, want <= 288", got)
+	if got := unsafe.Sizeof(Node{}); got > 160 {
+		t.Errorf("unsafe.Sizeof(Node{}) = %d, want <= 160", got)
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 // TestConfigValidateBrokenConfigs pins the engine boundary: every broken
 // filter geometry or partition count is rejected by Config.Validate before
-// any node state exists, NewNode refuses the same configuration, and the
+// any node state exists, NewParams refuses the same configuration, and the
 // error names the offending parameter.
 func TestConfigValidateBrokenConfigs(t *testing.T) {
 	cases := []struct {
@@ -42,8 +42,8 @@ func TestConfigValidateBrokenConfigs(t *testing.T) {
 			if !strings.Contains(err.Error(), tc.wantErr) {
 				t.Errorf("error %q does not name the problem (want %q)", err, tc.wantErr)
 			}
-			if _, err := NewNode(1, cfg, time.Hour); err == nil {
-				t.Errorf("NewNode built a node on a config Validate rejects")
+			if _, err := NewParams(cfg, time.Hour); err == nil {
+				t.Errorf("NewParams accepted a config Validate rejects")
 			}
 		})
 	}
@@ -51,7 +51,7 @@ func TestConfigValidateBrokenConfigs(t *testing.T) {
 
 // TestConfigValidateAccepts is the positive control: the evaluation
 // geometry at every partition count in range passes Config.Validate and
-// NewNode, and a promoted node's relay filter starts empty with the
+// NewParams, and a promoted node's relay filter starts empty with the
 // configured partition count.
 func TestConfigValidateAccepts(t *testing.T) {
 	for _, tc := range []struct{ partitions, want int }{{0, 1}, {1, 1}, {3, 3}, {255, 255}} {
@@ -61,11 +61,12 @@ func TestConfigValidateAccepts(t *testing.T) {
 			t.Errorf("partitions=%d: Config.Validate: %v", tc.partitions, err)
 			continue
 		}
-		n, err := NewNode(1, cfg, time.Hour)
+		p, err := NewParams(cfg, time.Hour)
 		if err != nil {
-			t.Errorf("partitions=%d: NewNode: %v", tc.partitions, err)
+			t.Errorf("partitions=%d: NewParams: %v", tc.partitions, err)
 			continue
 		}
+		n := p.NewNode(1)
 		n.Promote(time.Hour)
 		if got := n.Relay().Partitions(); got != tc.want {
 			t.Errorf("partitions=%d: relay has %d partitions, want %d", tc.partitions, got, tc.want)

@@ -16,6 +16,10 @@
 // protocol decisions on identical contact sequences — the property the
 // parity test in internal/livenode pins down.
 //
+// Nodes are built from a Params block: NewParams validates the protocol
+// configuration and message TTL once, and Params.NewNode builds each node
+// on it, so a simulated population shares one block.
+//
 // Every transfer is charged against a Budget (the simulator's bandwidth
 // accountant or the live node's Unlimited), and message hand-off is split
 // into claim/commit/abort so the live node's MSGACK refund semantics plug

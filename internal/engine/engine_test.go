@@ -10,11 +10,11 @@ import (
 
 func mustNode(t *testing.T, id NodeID, cfg Config, ttl time.Duration) *Node {
 	t.Helper()
-	n, err := NewNode(id, cfg, ttl)
+	p, err := NewParams(cfg, ttl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return n
+	return p.NewNode(id)
 }
 
 // contact runs the hello/election round trip between two nodes and
@@ -33,11 +33,11 @@ func contact(a, b *Node, budget Budget, now time.Duration) (*Session, *Session) 
 
 func TestNodeValidation(t *testing.T) {
 	cfg := DefaultConfig(0.1)
-	if _, err := NewNode(0, cfg, 0); err == nil {
+	if _, err := NewParams(cfg, 0); err == nil {
 		t.Error("zero TTL accepted")
 	}
 	cfg.CopyLimit = 0
-	if _, err := NewNode(0, cfg, time.Hour); err == nil {
+	if _, err := NewParams(cfg, time.Hour); err == nil {
 		t.Error("invalid config accepted")
 	}
 }
@@ -90,7 +90,7 @@ func TestElectDemotesBelowAverageBroker(t *testing.T) {
 	if su.PeerBroker() || sw.SelfBroker() {
 		t.Error("sessions did not settle on the demotion")
 	}
-	if _, still := user.sightings[weak.id]; still {
+	if _, still := sightingsMap(user)[weak.id]; still {
 		t.Error("demoted broker still sighted")
 	}
 }
@@ -141,7 +141,7 @@ func TestElectPromotesWhenFewBrokers(t *testing.T) {
 	if !su.PeerBroker() || !sp.SelfBroker() {
 		t.Error("sessions did not settle on the promotion")
 	}
-	if _, ok := user.sightings[peer.id]; !ok {
+	if _, ok := sightingsMap(user)[peer.id]; !ok {
 		t.Error("promotion not recorded as a sighting")
 	}
 }
@@ -176,7 +176,7 @@ func TestDegreePrunesOutsideWindow(t *testing.T) {
 	if got := n.Degree(now); got != 2 {
 		t.Errorf("degree = %d, want 2", got)
 	}
-	if _, still := n.meetings[1]; still {
+	if _, still := meetingsMap(n)[1]; still {
 		t.Error("stale meeting not pruned")
 	}
 }

@@ -52,14 +52,11 @@ func FuzzSessionSteps(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const ttl = 1000 * time.Hour
 		cfg := DefaultConfig(0.05)
-		a, err := NewNode(1, cfg, ttl)
+		params, err := NewParams(cfg, ttl)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := NewNode(2, cfg, ttl)
-		if err != nil {
-			t.Fatal(err)
-		}
+		a, b := params.NewNode(1), params.NewNode(2)
 		a.Subscribe("alpha", "news")
 		b.Subscribe("beta")
 		nodes := [2]*Node{a, b}

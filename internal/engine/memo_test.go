@@ -18,7 +18,7 @@ func freshEncodings(t *testing.T, n *Node, now time.Duration) (genuine, interest
 	for _, k := range n.interests {
 		pre = append(pre, tcbf.Precompute(k))
 	}
-	g := tcbf.MustNewPartitioned(n.fcfg, n.cfg.partitions(), now)
+	g := tcbf.MustNewPartitioned(n.p.geom.fcfg, n.p.geom.partitions, now)
 	if err := g.InsertAllPre(pre, now); err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func freshEncodings(t *testing.T, n *Node, now time.Duration) (genuine, interest
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := tcbf.MustNew(n.fcfg, now)
+	f := tcbf.MustNew(n.p.geom.fcfg, now)
 	if err := f.InsertAllPre(pre, now); err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestEncodingMemoGeometries(t *testing.T) {
 			genuine, interest, _ := outs(t, n, cache, now)
 			wantG, wantI := freshEncodings(t, n, now)
 			if !bytes.Equal(genuine, wantG) || !bytes.Equal(interest, wantI) {
-				t.Fatalf("step %d, FilterM %d: served another geometry's bytes", step, n.cfg.FilterM)
+				t.Fatalf("step %d, FilterM %d: served another geometry's bytes", step, n.p.cfg.FilterM)
 			}
 		}
 	}

@@ -48,20 +48,54 @@ type Accept struct {
 	Direct bool
 }
 
+// meeting is one peer's entry in the election window: the last time this
+// node met it.
+type meeting struct {
+	peer NodeID
+	at   time.Duration
+}
+
 // sighting is a user's record of a broker it met: when, and the degree
 // the broker announced at that meeting.
 type sighting struct {
+	peer   NodeID
 	at     time.Duration
 	degree int
+}
+
+// Params is the validated, immutable parameter block that a population of
+// nodes shares: the protocol configuration, the message TTL, and the
+// filter geometry both imply. None of it changes after construction, so a
+// simulated population holds one block instead of a copy per node, and a
+// session arena rebinding between nodes of one population compares a
+// pointer instead of the geometry.
+type Params struct {
+	cfg  Config
+	ttl  time.Duration
+	geom arenaGeometry
+}
+
+// NewParams validates cfg and the message lifetime ttl once and returns
+// the block every node built from it shares.
+func NewParams(cfg Config, ttl time.Duration) (*Params, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if ttl <= 0 {
+		return nil, fmt.Errorf("engine: TTL must be positive, got %v", ttl)
+	}
+	return &Params{
+		cfg:  cfg,
+		ttl:  ttl,
+		geom: arenaGeometry{fcfg: cfg.FilterConfig(), partitions: cfg.partitions()},
+	}, nil
 }
 
 // Node is the per-device B-SUB protocol state. It is not safe for
 // concurrent use; adapters serialize access.
 type Node struct {
-	cfg  Config
-	fcfg tcbf.Config
-	ttl  time.Duration
-	id   NodeID
+	p  *Params
+	id NodeID
 
 	interests []workload.Key
 	// preInterests mirrors interests with precomputed filter digests, so
@@ -87,20 +121,17 @@ type Node struct {
 	produced *msgstore.Store
 	carried  *msgstore.Store
 
-	// delivered dedups application deliveries by message ID. Lazy, like
-	// the two maps below: nil reads as empty, first write allocates.
+	// delivered dedups application deliveries by message ID. Lazy: nil
+	// reads as empty, first write allocates.
 	delivered map[int]struct{}
 
-	// meetings maps peers to their last meeting time; a node's degree is
-	// the number of peers met within the window. meetLow is a lower bound
-	// on every time in it: while now-meetLow is within the window no entry
-	// can have expired, so Degree answers len(meetings) without a scan.
-	meetings map[NodeID]time.Duration
-	meetLow  time.Duration
-	// sightings maps broker IDs to this node's latest sighting of them;
-	// sightLow bounds their times the way meetLow bounds the meetings.
-	sightings map[NodeID]sighting
-	sightLow  time.Duration
+	// meetings holds each peer's last meeting time, one entry per peer in
+	// ascending time order; a node's degree is the number of peers met
+	// within the window. Expired entries are a prefix, dropped in place.
+	meetings []meeting
+	// sightings holds this node's latest sighting of each broker, one
+	// entry per broker in ascending time order, like meetings.
+	sightings []sighting
 
 	// clockHigh is the node's time high-water mark. Every session step that
 	// touches TCBF state ratchets its pinned time up to this mark (and
@@ -111,32 +142,19 @@ type Node struct {
 	clockHigh time.Duration
 }
 
-// NewNode validates cfg and returns a fresh user node. The node's stores
-// and bookkeeping maps allocate lazily on first use, so an idle node costs
+// NewNode returns a fresh user node running p. The node's stores and
+// election windows allocate lazily on first use, so an idle node costs
 // one struct — the property the million-node simulator depends on.
-func NewNode(id NodeID, cfg Config, ttl time.Duration) (*Node, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if ttl <= 0 {
-		return nil, fmt.Errorf("engine: TTL must be positive, got %v", ttl)
-	}
-	return &Node{
-		cfg:  cfg,
-		fcfg: cfg.FilterConfig(),
-		ttl:  ttl,
-		id:   id,
-	}, nil
-}
+func (p *Params) NewNode(id NodeID) *Node { return &Node{p: p, id: id} }
 
 // ID returns the node's identifier.
 func (n *Node) ID() NodeID { return n.id }
 
 // Config returns the protocol parameters the node runs.
-func (n *Node) Config() Config { return n.cfg }
+func (n *Node) Config() Config { return n.p.cfg }
 
 // TTL returns the message lifetime.
-func (n *Node) TTL() time.Duration { return n.ttl }
+func (n *Node) TTL() time.Duration { return n.p.ttl }
 
 // Subscribe adds interest keys, deduplicating. A node's first (and, in
 // the paper's workload, only) subscription shares the interned digest
@@ -164,10 +182,11 @@ func (n *Node) Subscribe(keys ...workload.Key) {
 	}
 }
 
-// Interests returns a copy of the node's subscriptions.
-func (n *Node) Interests() []workload.Key {
-	return append([]workload.Key(nil), n.interests...)
-}
+// Interests returns the node's subscriptions without copying them: the
+// simulator's oracle reads them on every consumer-to-broker contact.
+// Callers must not modify the slice, and it is valid until the next
+// Subscribe.
+func (n *Node) Interests() []workload.Key { return n.interests }
 
 // AddProduced stores one of the node's own messages with the full copy
 // budget; it expires TTL after creation.
@@ -179,8 +198,8 @@ func (n *Node) AddProduced(msg workload.Message, payload []byte) {
 		Msg:       msg,
 		Payload:   payload,
 		Pre:       precomputeKeys(&msg),
-		ExpiresAt: msg.CreatedAt + n.ttl,
-		Copies:    n.cfg.CopyLimit,
+		ExpiresAt: msg.CreatedAt + n.p.ttl,
+		Copies:    n.p.cfg.CopyLimit,
 	})
 }
 
@@ -189,7 +208,7 @@ func (n *Node) AddProduced(msg workload.Message, payload []byte) {
 // is marked delivered (once); duplicates collapse into the existing copy.
 func (n *Node) AcceptCarried(msg workload.Message, payload []byte, now time.Duration) Accept {
 	var acc Accept
-	if now > msg.CreatedAt+n.ttl {
+	if now > msg.CreatedAt+n.p.ttl {
 		return acc
 	}
 	acc.Delivered = n.markDelivered(&msg)
@@ -203,7 +222,7 @@ func (n *Node) AcceptCarried(msg workload.Message, payload []byte, now time.Dura
 		Msg:       msg,
 		Payload:   payload,
 		Pre:       precomputeKeys(&msg),
-		ExpiresAt: msg.CreatedAt + n.ttl,
+		ExpiresAt: msg.CreatedAt + n.p.ttl,
 	})
 	acc.Stored = true
 	return acc
@@ -214,7 +233,7 @@ func (n *Node) AcceptCarried(msg workload.Message, payload []byte, now time.Dura
 // if the node really wants it and has not seen it before.
 func (n *Node) ReceiveDelivery(msg workload.Message, from NodeID, now time.Duration) Accept {
 	var acc Accept
-	if now > msg.CreatedAt+n.ttl {
+	if now > msg.CreatedAt+n.p.ttl {
 		return acc
 	}
 	acc.Direct = msg.Origin == from
@@ -265,7 +284,7 @@ func (n *Node) Promote(now time.Duration) {
 		return
 	}
 	n.broker = true
-	n.relay = tcbf.MustNewPartitioned(n.fcfg, n.cfg.partitions(), now)
+	n.relay = tcbf.MustNewPartitioned(n.p.geom.fcfg, n.p.geom.partitions, now)
 }
 
 // Demote returns the node to plain-user duty. Carried copies remain until
@@ -280,40 +299,72 @@ func (n *Node) Demote() {
 
 // RecordMeeting notes a contact with peer at the given time (Session
 // records it automatically; exported for tests and adapters seeding
-// history).
+// history). The new time replaces the peer's old one even when it is
+// older: concurrent live sessions record with older pinned clocks.
 //
 //bsub:hotpath
 func (n *Node) RecordMeeting(peer NodeID, at time.Duration) {
-	if n.meetings == nil {
-		n.growMeetings()
+	// The peer's old entry, or a new one at the back, is the slot the new
+	// entry moves from to its time-ordered place i, after every entry
+	// not newer than at; one copy shifts the entries in between. Recently
+	// met peers and new times sit at the back, so the scans start there.
+	m := n.meetings
+	j := len(m) - 1
+	for j >= 0 && m[j].peer != peer {
+		j--
 	}
-	if len(n.meetings) == 0 || at < n.meetLow {
-		n.meetLow = at
+	if j < 0 {
+		m = append(m, meeting{})
+		j = len(m) - 1
 	}
-	n.meetings[peer] = at
+	i := j
+	if j+1 < len(m) && m[j+1].at <= at {
+		for i = len(m) - 1; m[i].at > at; i-- {
+		}
+		copy(m[j:i], m[j+1:i+1])
+	} else {
+		for i > 0 && m[i-1].at > at {
+			i--
+		}
+		copy(m[i+1:j+1], m[i:j])
+	}
+	m[i] = meeting{peer: peer, at: at}
+	n.meetings = m
 }
 
-// growMeetings allocates the meeting history on a node's first contact.
-//
-//bsub:coldpath
-func (n *Node) growMeetings() { n.meetings = make(map[NodeID]time.Duration) }
-
 // RecordBrokerSighting seeds the election history with a broker sighting
-// (tests and adapters; Session records sightings automatically).
+// (tests and adapters; Session records sightings automatically). Like
+// RecordMeeting, the new sighting replaces the broker's old one whatever
+// their times.
 //
 //bsub:hotpath
 func (n *Node) RecordBrokerSighting(peer NodeID, degree int, at time.Duration) {
-	if n.sightings == nil {
-		n.growSightings()
+	// The entry moves into place as in RecordMeeting.
+	s := n.sightings
+	j := len(s) - 1
+	for j >= 0 && s[j].peer != peer {
+		j--
 	}
-	if len(n.sightings) == 0 || at < n.sightLow {
-		n.sightLow = at
+	if j >= 0 {
+		n.addSightDegree(-s[j].degree)
+	} else {
+		s = append(s, sighting{})
+		j = len(s) - 1
 	}
-	if old, ok := n.sightings[peer]; ok {
-		n.addSightDegree(-old.degree)
+	i := j
+	if j+1 < len(s) && s[j+1].at <= at {
+		for i = len(s) - 1; s[i].at > at; i-- {
+		}
+		copy(s[j:i], s[j+1:i+1])
+	} else {
+		for i > 0 && s[i-1].at > at {
+			i--
+		}
+		copy(s[i+1:j+1], s[i:j])
 	}
 	n.addSightDegree(degree)
-	n.sightings[peer] = sighting{at: at, degree: degree}
+	s[i] = sighting{peer: peer, at: at, degree: degree}
+	n.sightings = s
 }
 
 // forgetSighting drops peer's sighting, if any, and its degree from the
@@ -321,9 +372,13 @@ func (n *Node) RecordBrokerSighting(peer NodeID, degree int, at time.Duration) {
 //
 //bsub:hotpath
 func (n *Node) forgetSighting(peer NodeID) {
-	if old, ok := n.sightings[peer]; ok {
-		n.addSightDegree(-old.degree)
-		delete(n.sightings, peer)
+	s := n.sightings
+	for i := len(s) - 1; i >= 0; i-- {
+		if s[i].peer == peer {
+			n.addSightDegree(-s[i].degree)
+			n.sightings = s[:i+copy(s[i:], s[i+1:])]
+			return
+		}
 	}
 }
 
@@ -343,93 +398,74 @@ func (n *Node) addSightDegree(d int) {
 	n.sightSum = int32(sum)
 }
 
-// growSightings allocates the sighting history on first use.
-//
-//bsub:coldpath
-func (n *Node) growSightings() { n.sightings = make(map[NodeID]sighting) }
-
-// Degree counts (and prunes) the distinct peers met within the election
-// window ending at now. It scans the history only once the oldest meeting
-// may have left the window.
+// Degree counts the distinct peers met within the election window ending
+// at now, dropping the expired meetings, which form the window's prefix.
 //
 //bsub:hotpath
 func (n *Node) Degree(now time.Duration) int {
-	if len(n.meetings) > 0 && now-n.meetLow > n.cfg.Window {
-		n.pruneMeetings(now)
+	m := n.meetings
+	k := 0
+	for k < len(m) && now-m[k].at > n.p.cfg.Window {
+		k++
+	}
+	if k > 0 {
+		n.meetings = m[:copy(m, m[k:])]
 	}
 	return len(n.meetings)
-}
-
-// pruneMeetings deletes the meetings outside the window ending at now and
-// tightens meetLow to the oldest survivor.
-//
-//bsub:hotpath
-func (n *Node) pruneMeetings(now time.Duration) {
-	low := time.Duration(math.MaxInt64)
-	for peer, at := range n.meetings {
-		if now-at > n.cfg.Window {
-			delete(n.meetings, peer)
-		} else if at < low {
-			low = at
-		}
-	}
-	n.meetLow = low
 }
 
 // countPeers counts distinct peers met within window without pruning, so
 // it can use a different horizon than the election's Window. Entries older
 // than the election window may already be pruned; the count is then a
-// conservative lower bound.
+// conservative lower bound. The window is time-ordered, so the count is
+// the suffix after a binary search for its first entry inside the horizon.
 //
 //bsub:hotpath
 func (n *Node) countPeers(now, window time.Duration) int {
-	d := 0
-	for _, at := range n.meetings {
-		if now-at <= window {
-			d++
+	m := n.meetings
+	lo, hi := 0, len(m)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if now-m[mid].at > window {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	return d
+	return len(m) - lo
 }
 
 // brokersInWindow returns the number of distinct brokers sighted within
-// the window and the mean of their last-reported degrees, pruning expired
-// sightings. Like Degree, it scans only once the oldest sighting may have
-// expired (or the running degree sum went wide).
+// the window and the mean of their last-reported degrees, dropping the
+// expired sightings (a prefix, as in Degree) and their degrees from the
+// running sum. Only a wide sum sends it to rescan the survivors.
 //
 //bsub:hotpath
 func (n *Node) brokersInWindow(now time.Duration) (count int, meanDegree float64) {
-	sum := int(n.sightSum)
-	if n.sightWide || (len(n.sightings) > 0 && now-n.sightLow > n.cfg.Window) {
-		sum = n.pruneSightings(now)
+	s := n.sightings
+	k := 0
+	for k < len(s) && now-s[k].at > n.p.cfg.Window {
+		n.addSightDegree(-s[k].degree)
+		k++
 	}
-	count = len(n.sightings)
+	if k > 0 {
+		s = s[:copy(s, s[k:])]
+		n.sightings = s
+	}
+	sum := int(n.sightSum)
+	if n.sightWide {
+		sum = 0
+		for _, e := range s {
+			sum += e.degree
+		}
+		n.sightWide = sum < math.MinInt32 || sum > math.MaxInt32
+		n.sightSum = int32(sum)
+	}
+	count = len(s)
 	if count > 0 {
 		meanDegree = float64(sum) / float64(count)
 	}
 	return count, meanDegree
-}
-
-// pruneSightings deletes the sightings outside the window ending at now,
-// tightens sightLow, and recomputes the degree sum, which it returns.
-//
-//bsub:hotpath
-func (n *Node) pruneSightings(now time.Duration) int {
-	sum, low := 0, time.Duration(math.MaxInt64)
-	for id, s := range n.sightings {
-		if now-s.at > n.cfg.Window {
-			delete(n.sightings, id)
-			continue
-		}
-		sum += s.degree
-		if s.at < low {
-			low = s.at
-		}
-	}
-	n.sightLow = low
-	n.sightWide = sum < math.MinInt32 || sum > math.MaxInt32
-	n.sightSum = int32(sum)
-	return sum
 }
 
 // RetuneDF maintains the broker's decaying factor per the configured
@@ -438,18 +474,18 @@ func (n *Node) pruneSightings(now time.Duration) int {
 //
 //bsub:hotpath
 func (n *Node) RetuneDF(now time.Duration) {
-	if n.cfg.DFMode == DFFixed || !n.broker || n.relay == nil {
+	if n.p.cfg.DFMode == DFFixed || !n.broker || n.relay == nil {
 		return
 	}
-	ttlMin := n.ttl.Minutes()
-	baseline := n.cfg.InitialCounter / ttlMin
-	switch n.cfg.DFMode {
+	ttlMin := n.p.ttl.Minutes()
+	baseline := n.p.cfg.InitialCounter / ttlMin
+	switch n.p.cfg.DFMode {
 	case DFOnlineEq5:
 		// Count the distinct peers met within the delay bound T (= TTL),
 		// the broker's own live estimate of the keys it collects.
-		nKeys := n.countPeers(now, n.ttl)
+		nKeys := n.countPeers(now, n.p.ttl)
 		df, err := analysis.DecayFactor(
-			n.cfg.InitialCounter, nKeys, n.cfg.FilterM, n.cfg.FilterK, ttlMin, 0.005)
+			n.p.cfg.InitialCounter, nKeys, n.p.cfg.FilterM, n.p.cfg.FilterK, ttlMin, 0.005)
 		if err != nil {
 			return
 		}
@@ -464,9 +500,9 @@ func (n *Node) RetuneDF(now time.Duration) {
 		}
 		est := n.relay.EstimatedFPR()
 		switch {
-		case est > n.cfg.TargetFPR:
+		case est > n.p.cfg.TargetFPR:
 			df *= feedbackGrow
-		case est < n.cfg.TargetFPR/2:
+		case est < n.p.cfg.TargetFPR/2:
 			df *= feedbackShrink
 		default:
 			return

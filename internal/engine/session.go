@@ -116,10 +116,11 @@ type Session struct {
 	// CountersNone carry no clock — so an arena serving many nodes encodes
 	// each key once. dropArena clears it along with the geometry.
 	encMemo map[workload.Key]*keyEnc
-	// geom is the geometry the arena is built for. A rebind compares the
-	// incoming node against it instead of dereferencing the previous node,
-	// a cold read at population scale.
-	geom arenaGeometry
+	// params is the parameter block the arena's scratch state is built
+	// for. A rebind compares the incoming node's block against it by
+	// pointer: nodes of one population share one block, so the geometry
+	// compare runs only when an arena moves between populations.
+	params *Params
 
 	cands     []Transfer
 	transfers []Transfer
@@ -160,14 +161,16 @@ func (n *Node) BeginContact(c *SessionCache, budget Budget, now time.Duration) *
 		c.free[k-1] = nil
 		c.free = c.free[:k-1]
 		if s.n != n {
-			if g := n.arenaGeometry(); g != s.geom {
-				s.dropArena()
-				s.geom = g
+			if n.p != s.params {
+				if n.p.geom != s.params.geom {
+					s.dropArena()
+				}
+				s.params = n.p
 			}
 			s.n = n
 		}
 	} else {
-		s = &Session{n: n, geom: n.arenaGeometry()}
+		s = &Session{n: n, params: n.p}
 	}
 	s.cache = c
 	return s.begin(budget, now)
@@ -178,13 +181,6 @@ func (n *Node) BeginContact(c *SessionCache, budget Budget, now time.Duration) *
 type arenaGeometry struct {
 	fcfg       tcbf.Config
 	partitions int
-}
-
-// arenaGeometry returns the geometry an arena serving n must be built for.
-//
-//bsub:hotpath
-func (n *Node) arenaGeometry() arenaGeometry {
-	return arenaGeometry{fcfg: n.fcfg, partitions: n.cfg.partitions()}
 }
 
 // dropArena discards geometry-dependent scratch state — the scratch
@@ -316,7 +312,7 @@ func (s *Session) ratchet() {
 //bsub:coldpath
 func (s *Session) scratchRelay(slot **tcbf.Partitioned) *tcbf.Partitioned {
 	if *slot == nil {
-		*slot = tcbf.MustNewPartitioned(s.n.fcfg, s.n.cfg.partitions(), s.now)
+		*slot = tcbf.MustNewPartitioned(s.n.p.geom.fcfg, s.n.p.geom.partitions, s.now)
 	}
 	return *slot
 }
@@ -326,7 +322,7 @@ func (s *Session) scratchRelay(slot **tcbf.Partitioned) *tcbf.Partitioned {
 //bsub:coldpath
 func (s *Session) scratchFilter(slot **tcbf.Filter) *tcbf.Filter {
 	if *slot == nil {
-		*slot = tcbf.MustNew(s.n.fcfg, s.now)
+		*slot = tcbf.MustNew(s.n.p.geom.fcfg, s.now)
 	}
 	return *slot
 }
@@ -370,9 +366,9 @@ func (s *Session) Elect() Action {
 	}
 	count, meanDegree := s.n.brokersInWindow(s.now)
 	switch {
-	case count < s.n.cfg.BrokerLow && !s.peer.Broker:
+	case count < s.n.p.cfg.BrokerLow && !s.peer.Broker:
 		return ActPromote
-	case count > s.n.cfg.BrokerHigh && s.peer.Broker && float64(s.peer.Degree) < meanDegree:
+	case count > s.n.p.cfg.BrokerHigh && s.peer.Broker && float64(s.peer.Degree) < meanDegree:
 		// The demoted broker leaves our sighting window immediately.
 		s.n.forgetSighting(s.peer.ID)
 		return ActDemote
@@ -425,7 +421,7 @@ func (s *Session) Apply(own, peer Action) {
 		if s.relay == nil {
 			// Demoted by a concurrent session after our hello: run the
 			// contact as announced against a throwaway filter.
-			s.relay = tcbf.MustNewPartitioned(s.n.fcfg, s.n.cfg.partitions(), s.now)
+			s.relay = tcbf.MustNewPartitioned(s.n.p.geom.fcfg, s.n.p.geom.partitions, s.now)
 		}
 	}
 }
@@ -627,7 +623,7 @@ func (s *Session) MergeRelay() error {
 	if s.relay == nil || s.peerRelay == nil {
 		return nil
 	}
-	if s.n.cfg.BrokerMerge == BrokerMergeAdditive {
+	if s.n.p.cfg.BrokerMerge == BrokerMergeAdditive {
 		return s.relay.AMerge(s.peerRelay, s.now)
 	}
 	return s.relay.MMerge(s.peerRelay, s.now)

@@ -13,12 +13,15 @@ import (
 // string<->[]byte conversions, closures that capture variables, map or
 // slice literals, bare make, boxing into interfaces — and may only call
 // other hotpath-marked functions, //bsub:coldpath-marked escape hatches,
-// or functions from a small allowlist of non-allocating stdlib packages.
+// or allowlisted stdlib functions: whole packages of non-allocating value
+// computations, and the non-allocating functions of slices.
 //
 // Two idioms are deliberately exempt, mirroring how the real hot path is
-// written: allocations inside a return statement's subtree (error
-// returns are cold: the contact is already failing), and make inside an
-// append argument list (amortized arena growth).
+// written: allocations inside a return statement whose error result is
+// non-nil (error returns are cold: the contact is already failing), and
+// make inside an append argument list (amortized arena growth).
+// slices.Insert and slices.Delete count as append: they grow or shift a
+// slice in place.
 var HotpathAlloc = &Analyzer{
 	Name: "hotpathalloc",
 	Doc:  "//bsub:hotpath functions must not allocate and may only call hotpath or allowlisted functions",
@@ -32,9 +35,23 @@ var hotpathAllowedPkgs = map[string]bool{
 	"math/bits":       true,
 	"encoding/binary": true,
 	"sort":            true,
-	"slices":          true,
 	"time":            true, // Duration arithmetic; time.Now is determinism's job
 	"errors":          true, // errors.Is on sentinel errors
+}
+
+// hotpathAllowedSlices are the functions of the slices package a hot
+// function may call: non-allocating searches and sorts, and Insert and
+// Delete, append-like in-place edits. Clone, Concat, Grow and every
+// function not listed allocate or may; list a function only once it is
+// known not to.
+var hotpathAllowedSlices = map[string]bool{
+	"BinarySearch":     true,
+	"BinarySearchFunc": true,
+	"Contains":         true,
+	"Delete":           true,
+	"IndexFunc":        true,
+	"Insert":           true,
+	"SortFunc":         true,
 }
 
 func runHotpathAlloc(pass *Pass) {
@@ -44,18 +61,24 @@ func runHotpathAlloc(pass *Pass) {
 		if obj == nil || !pass.Prog.Hotpath[obj] {
 			return
 		}
-		checkHotBody(pass, fd.Body)
+		checkHotBody(pass, fd)
 	})
 }
 
-func checkHotBody(pass *Pass, body *ast.BlockStmt) {
+func checkHotBody(pass *Pass, fd *ast.FuncDecl) {
 	info := pass.Pkg.Info
-	// Return statements are cold exits (error paths); collect their
-	// spans so allocations inside them are exempt.
+	body := fd.Body
+	// Returns with a non-nil error result are cold exits (error paths);
+	// collect their spans so allocations inside them are exempt.
 	var returns []ast.Node
 	ast.Inspect(body, func(n ast.Node) bool {
-		if r, ok := n.(*ast.ReturnStmt); ok {
-			returns = append(returns, r)
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false // its returns belong to the literal
+		case *ast.ReturnStmt:
+			if errorExit(info, fd, n) {
+				returns = append(returns, n)
+			}
 		}
 		return true
 	})
@@ -157,12 +180,30 @@ func checkHotCall(pass *Pass, call *ast.CallExpr, inReturn func(token.Pos) bool)
 		pass.Reportf(call.Pos(), "hotpath function calls %s, which is not marked //bsub:hotpath or //bsub:coldpath", fn.Name())
 		return
 	}
-	if hotpathAllowedPkgs[path] || path == "" || path == "fmt" {
+	if hotpathAllowedPkgs[path] || path == "" || path == "fmt" ||
+		path == "slices" && hotpathAllowedSlices[fn.Name()] {
 		return
 	}
 	if !cold {
 		pass.Reportf(call.Pos(), "hotpath function calls %s.%s, which is not on the allowlist", path, fn.Name())
 	}
+}
+
+// errorExit reports whether ret, a return statement of fd, returns a
+// non-nil error: fd's last result is an error and ret's last result
+// expression is not nil.
+func errorExit(info *types.Info, fd *ast.FuncDecl, ret *ast.ReturnStmt) bool {
+	obj, ok := info.Defs[fd.Name].(*types.Func)
+	if !ok {
+		return false
+	}
+	results := obj.Type().(*types.Signature).Results()
+	n := results.Len()
+	if n == 0 || len(ret.Results) != n || results.At(n-1).Type().String() != "error" {
+		return false
+	}
+	tv, ok := info.Types[ret.Results[n-1]]
+	return ok && !tv.IsNil()
 }
 
 // makeInsideAppend reports whether call (a make) appears in the argument

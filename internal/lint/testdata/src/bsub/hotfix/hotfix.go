@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 //bsub:hotpath
@@ -20,6 +21,29 @@ func coldErrorExit(ok bool) error {
 		return fmt.Errorf("bad") // error exits are cold
 	}
 	return nil
+}
+
+//bsub:hotpath
+func nilErrorExit(n int) ([]byte, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("negative %d", n) // a non-nil error is cold
+	}
+	return make([]byte, n), nil // want `make allocates in a hotpath function`
+}
+
+//bsub:hotpath
+func valueReturn(s []int) []int {
+	return slices.Clone(s) // want `hotpath function calls slices.Clone, which is not on the allowlist`
+}
+
+//bsub:hotpath
+func sliceEdits(s []int, v int) []int {
+	i, _ := slices.BinarySearch(s, v) // a non-allocating slices function
+	s = slices.Insert(s, i, v)        // Insert and Delete count as append
+	s = slices.Delete(s, 0, 1)
+	g := slices.Grow(s, 8)   // want `hotpath function calls slices.Grow, which is not on the allowlist`
+	c := slices.Concat(s, g) // want `hotpath function calls slices.Concat, which is not on the allowlist`
+	return c
 }
 
 //bsub:hotpath

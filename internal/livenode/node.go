@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"syscall"
 	"time"
@@ -155,10 +156,11 @@ func Listen(addr string, cfg Config) (*Node, error) {
 	if cfg.TTL <= 0 {
 		return nil, fmt.Errorf("livenode: TTL must be positive, got %v", cfg.TTL)
 	}
-	eng, err := engine.NewNode(int(cfg.ID), cfg.Protocol, cfg.TTL)
+	params, err := engine.NewParams(cfg.Protocol, cfg.TTL)
 	if err != nil {
 		return nil, fmt.Errorf("livenode: %w", err)
 	}
+	eng := params.NewNode(int(cfg.ID))
 	if cfg.Clock == nil {
 		epoch := time.Unix(0, 0)
 		cfg.Clock = func() time.Duration { return time.Since(epoch) }
@@ -230,7 +232,7 @@ func (n *Node) Subscribe(keys ...workload.Key) {
 func (n *Node) Interests() []workload.Key {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.eng.Interests()
+	return slices.Clone(n.eng.Interests())
 }
 
 // Publish stores a message for dissemination and returns its mesh-wide ID.

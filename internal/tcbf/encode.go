@@ -165,7 +165,10 @@ func (f *Filter) encodeTo(dst []byte, mode CounterMode) ([]byte, int, error) {
 		size += 8 + nSet
 	}
 	start := len(dst)
-	dst = slices.Grow(dst, size)[:start+size]
+	if cap(dst)-start < size {
+		dst = growBuf(dst, size)
+	}
+	dst = dst[:start+size]
 	out := dst[start:]
 
 	out[0] = wireMagic
@@ -236,6 +239,12 @@ func (f *Filter) encodeTo(dst []byte, mode CounterMode) ([]byte, int, error) {
 	}
 	return dst, nSet, nil
 }
+
+// growBuf returns dst with room for n more bytes: the amortized growth of
+// a caller's reused encode buffer, which a warm buffer never reaches.
+//
+//bsub:coldpath
+func growBuf(dst []byte, n int) []byte { return slices.Grow(dst, n) }
 
 // wireHeader is the parsed fixed-size prefix of a filter encoding.
 type wireHeader struct {
