@@ -108,17 +108,19 @@ golden:
 
 # bench-smoke runs the contact benchmarks — a contact's message-store
 # work, its election-window work, the engine session and the simulator
-# adapter's contacts on top of it — and the relay filter codec benchmarks (one warm
-# filter each way, and a round-robin over a few thousand cold relay
-# filters) a handful of iterations, so a PR that breaks the benchmark
-# harness fails the gate without a full bench run. Every case warms up
-# before timing and prints 0 allocs/op; the allocs target is what
+# adapter's contacts on top of it — the relay filter codec benchmarks (one
+# warm filter each way, and a round-robin over a few thousand cold relay
+# filters, with the advert encoded or only sized) and the contact
+# stream's Next on a 50k-node population, a handful of iterations, so a
+# PR that breaks the benchmark harness fails the gate without a full
+# bench run. Every case prints 0 allocs/op; the allocs target is what
 # enforces it.
 bench-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkStoreContact -benchtime 10x ./internal/msgstore
 	$(GO) test -run '^$$' -bench 'BenchmarkEngineContact|BenchmarkElectionWindow' -benchtime 10x ./internal/engine
 	$(GO) test -run '^$$' -bench BenchmarkAdapterContact -benchtime 10x ./internal/core
-	$(GO) test -run '^$$' -bench 'BenchmarkEncodeTo$$|BenchmarkDecodeInto$$|BenchmarkPopulationCodec$$' -benchtime 10x ./internal/tcbf
+	$(GO) test -run '^$$' -bench 'BenchmarkEncodeTo$$|BenchmarkDecodeInto$$|BenchmarkPopulationCodec$$|BenchmarkPopulationWireSize$$' -benchtime 10x ./internal/tcbf
+	$(GO) test -run '^$$' -bench 'BenchmarkStreamNext$$' -benchtime 10x ./internal/tracegen
 
 # determinism is the quick-mode sharded-runner gate: the same seeded scale
 # config must produce byte-identical reports at workers=1 and workers=8,

@@ -283,13 +283,17 @@ func (p *BSub) forward(env sim.Env, src *node, ss *engine.Session, dst *node, no
 // deliveryPull serves the asker from the peer's own and carried messages
 // matching the asker's counter-less interest BF; matching is what
 // introduces delivery-side false positives, and env.Deliver classifies
-// them.
+// them. The interest BF is always charged; a server with empty stores
+// skips decoding it.
 func (p *BSub) deliveryPull(env sim.Env, asker *node, sAsker *engine.Session, server *node, sServer *engine.Session, now time.Duration) {
 	data, err := sAsker.InterestOut()
 	if err != nil || data == nil {
 		return
 	}
 	env.RecordControl(len(data))
+	if sServer.StoresEmpty() {
+		return // nothing to match the interest BF against
+	}
 	matches, err := sServer.DeliveryMatches(data)
 	if err != nil {
 		return
@@ -301,9 +305,18 @@ func (p *BSub) deliveryPull(env sim.Env, asker *node, sAsker *engine.Session, se
 // asker broker, bounded by the per-message copy limit. The broker
 // advertises its relay filter as a counter-less BF; false positives here
 // are what inject useless traffic, and the oracle classifies each
-// replication as genuine or injected.
+// replication as genuine or injected. When the server has nothing to
+// replicate, the advert is charged by size only.
 func (p *BSub) replicationPull(env sim.Env, asker *node, sAsker *engine.Session, server *node, sServer *engine.Session, now time.Duration) {
 	if !sAsker.SelfBroker() {
+		return
+	}
+	if !sServer.CanReplicate() {
+		// The advert could select nothing: charge its exact size and
+		// skip both its emission and the server's decode.
+		if n, err := sAsker.RelayAdvertSize(); err == nil && n > 0 {
+			env.RecordControl(n)
+		}
 		return
 	}
 	data, err := sAsker.RelayAdvertOut()

@@ -12,12 +12,19 @@ import "testing"
 // reinforcement reads the consumer's interests without copying them, and
 // the copy each contact delivers reaches the sim.Env through the worker's
 // message slot. Each broker's oracle holds far more than 8 keys, beyond
-// what a map snapshot could keep on the stack. Excluded under -race (the
-// race runtime allocates during bookkeeping).
+// what a map snapshot could keep on the stack. Node 1 holds no message,
+// so every contact also runs the pulls the simulator charges without
+// bytes: node 0's relay advert by size only, and its interest BF with no
+// decode at node 1. Excluded under -race (the race runtime allocates
+// during bookkeeping).
 func TestAdapterContactAllocationFree(t *testing.T) {
 	for _, c := range adapterCases {
 		t.Run(c.name, func(t *testing.T) {
 			p, contact, _, env := newAdapterContactRig(t, c)
+			if n := p.nodes[1].eng; n.ProducedCount() != 0 || n.CarriedCount() != 0 {
+				t.Fatalf("node 1 holds %d produced and %d carried copies, want none",
+					n.ProducedCount(), n.CarriedCount())
+			}
 			for i := range p.nodes {
 				if !p.nodes[i].oracle.active() {
 					continue

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -476,6 +478,109 @@ func TestBudgetRefusalReturnsNil(t *testing.T) {
 	}
 	if c, ok := sc.Claim(direct(99)); c != nil || !ok {
 		t.Error("missing message should skip, not stop")
+	}
+}
+
+// TestRelayAdvertSizeMatchesAdvert holds the size-only advert to the
+// advert it stands for, on twin brokers whose relay filters carry pending
+// decay: under a budget that admits the advert, RelayAdvertSize spends
+// exactly len(RelayAdvertOut()); under one a byte short, or empty, both
+// refuse and spend nothing; and either way both leave the relay filter in
+// the same state, settled as the encoding settles it.
+func TestRelayAdvertSizeMatchesAdvert(t *testing.T) {
+	cfg := DefaultConfig(0.1)
+	const now = 10 * time.Minute
+	for _, keys := range []int{0, 2, 60} { // empty, location list, bitmap
+		twin := func() *Node {
+			n := mustNode(t, 0, cfg, time.Hour)
+			n.Promote(0)
+			for i := 0; i < keys; i++ {
+				if err := n.Relay().InsertPre(tcbf.Precompute(workload.Key(fmt.Sprintf("k%d", i))), 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return n
+		}
+		session := func(n *Node, budget Budget) *Session {
+			s, _ := contact(n, mustNode(t, 1, cfg, time.Hour), budget, now)
+			if !s.SelfBroker() {
+				t.Fatal("twin broker lost its role")
+			}
+			return s
+		}
+		advert, err := session(twin(), Unlimited{}).RelayAdvertOut()
+		if err != nil || advert == nil {
+			t.Fatalf("keys=%d: unlimited advert = %v, %v", keys, advert, err)
+		}
+		want := len(advert)
+		for _, left := range []int{want + 7, want, want - 1, 0} {
+			sizedNode, sentNode := twin(), twin()
+			sizedBudget, sentBudget := &budgetN{left: left}, &budgetN{left: left}
+			n, err := session(sizedNode, sizedBudget).RelayAdvertSize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := session(sentNode, sentBudget).RelayAdvertOut()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantN := 0
+			if left >= want {
+				wantN = want
+			}
+			if n != wantN || len(data) != wantN || (wantN == 0 && data != nil) {
+				t.Errorf("keys=%d budget %d: RelayAdvertSize = %d, RelayAdvertOut = %d bytes; want both %d",
+					keys, left, n, len(data), wantN)
+			}
+			if sizedBudget.left != sentBudget.left {
+				t.Errorf("keys=%d budget %d: size-only advert left %d bytes, advert %d",
+					keys, left, sizedBudget.left, sentBudget.left)
+			}
+			if !reflect.DeepEqual(sizedNode.Relay(), sentNode.Relay()) {
+				t.Errorf("keys=%d budget %d: size-only advert left the relay filter in another state", keys, left)
+			}
+		}
+	}
+}
+
+// TestPullPredicates pins the two conditions under which the simulator
+// skips a server's match step: CanReplicate holds exactly while a live
+// produced message has copy budget left, and purges expired produced
+// copies as ReplicationMatches does; StoresEmpty holds only while both
+// stores hold nothing at all.
+func TestPullPredicates(t *testing.T) {
+	cfg := DefaultConfig(0.1)
+	n := mustNode(t, 0, cfg, time.Hour)
+	peer := mustNode(t, 1, cfg, time.Hour)
+	check := func(at time.Duration, canReplicate, empty bool) {
+		t.Helper()
+		s, _ := contact(n, peer, Unlimited{}, at)
+		if got := s.CanReplicate(); got != canReplicate {
+			t.Errorf("at %v: CanReplicate = %v, want %v", at, got, canReplicate)
+		}
+		if got := s.StoresEmpty(); got != empty {
+			t.Errorf("at %v: StoresEmpty = %v, want %v", at, got, empty)
+		}
+	}
+	const at = 30 * time.Minute
+	check(0, false, true)
+	n.AcceptCarried(workload.Message{ID: 1, Key: "k", Origin: 2, CreatedAt: 0}, nil, 0)
+	check(at, false, false)
+	n.AddProduced(workload.Message{ID: 2, Key: "k", Origin: 0, CreatedAt: at}, nil)
+	check(at, true, false)
+	for n.ProducedCopies(2) > 0 {
+		s, _ := contact(n, peer, Unlimited{}, at)
+		if c, ok := s.Claim(replication(2)); c == nil || !ok {
+			t.Fatal("replication claim refused")
+		}
+	}
+	check(at, false, false)
+	n.AddProduced(workload.Message{ID: 3, Key: "k", Origin: 0, CreatedAt: 0}, nil)
+	check(at, true, false)
+	// Message 3 expires at 60 minutes, and CanReplicate purges it.
+	check(61*time.Minute, false, false)
+	if n.ProducedCount() != 1 || n.ProducedCopies(2) != 0 {
+		t.Errorf("CanReplicate kept %d produced copies; want only message 2, exhausted", n.ProducedCount())
 	}
 }
 

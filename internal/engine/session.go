@@ -43,6 +43,11 @@ type Transfer struct {
 //	  both, per side: InterestOut → DeliveryMatches → Claim;
 //	                 RelayAdvertOut → ReplicationMatches → Claim
 //
+// An adapter that can see the peer's stores (the simulator) may charge
+// the advert with RelayAdvertSize when the peer cannot replicate, and
+// skip DeliveryMatches when the peer's stores are empty: neither step
+// would have selected anything (see CanReplicate, StoresEmpty).
+//
 // A matching step fixes each Transfer's claim rule, so an adapter claims
 // every selected copy the same way, whichever step chose it.
 //
@@ -527,11 +532,7 @@ func (s *Session) AbsorbGenuine(data []byte) error {
 //
 //bsub:hotpath
 func (s *Session) RelayOut() ([]byte, error) {
-	s.ratchet()
-	if s.relay == nil {
-		return nil, nil
-	}
-	if err := s.relay.Advance(s.now); err != nil {
+	if ok, err := s.advanceRelay(); !ok || err != nil {
 		return nil, err
 	}
 	data, err := s.relay.EncodeTo(s.relayEnc[:0], tcbf.CountersFull)
@@ -701,11 +702,7 @@ func (s *Session) DeliveryMatches(data []byte) ([]Transfer, error) {
 //
 //bsub:hotpath
 func (s *Session) RelayAdvertOut() ([]byte, error) {
-	s.ratchet()
-	if s.relay == nil {
-		return nil, nil
-	}
-	if err := s.relay.Advance(s.now); err != nil {
+	if ok, err := s.advanceRelay(); !ok || err != nil {
 		return nil, err
 	}
 	data, err := s.relay.EncodeTo(s.advertEnc[:0], tcbf.CountersNone)
@@ -717,6 +714,67 @@ func (s *Session) RelayAdvertOut() ([]byte, error) {
 		return nil, nil
 	}
 	return data, nil
+}
+
+// RelayAdvertSize is RelayAdvertOut for an advert nobody will match: it
+// advances the relay filter, settles it as the encoding would, and spends
+// the advert's exact length, but emits no bytes. It returns the bytes
+// spent, 0 when the budget refuses or the node has no relay. An adapter
+// may send it instead of RelayAdvertOut only when the peer's
+// CanReplicate is false, so the advert could select nothing; the live
+// node has no view of its peer's store and always sends the bytes.
+//
+//bsub:hotpath
+func (s *Session) RelayAdvertSize() (int, error) {
+	if ok, err := s.advanceRelay(); !ok || err != nil {
+		return 0, err
+	}
+	n, err := s.relay.WireSize(tcbf.CountersNone)
+	if err != nil {
+		return 0, err
+	}
+	if !s.budget.Spend(n) {
+		return 0, nil
+	}
+	return n, nil
+}
+
+// advanceRelay ratchets the session clock and brings the pinned relay
+// filter up to it, reporting whether there is a relay filter to send.
+//
+//bsub:hotpath
+func (s *Session) advanceRelay() (bool, error) {
+	s.ratchet()
+	if s.relay == nil {
+		return false, nil
+	}
+	return true, s.relay.Advance(s.now)
+}
+
+// CanReplicate reports whether this side holds a live produced message
+// with copy budget left: the only copies ReplicationMatches can select.
+// Like ReplicationMatches it purges expired produced copies first, so an
+// adapter that skips the match step when this is false leaves the node
+// exactly as the step would have.
+//
+//bsub:hotpath
+func (s *Session) CanReplicate() bool {
+	s.ratchet()
+	for _, e := range s.n.produced.Live(s.now) {
+		if e.Copies > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// StoresEmpty reports whether this side's produced and carried stores
+// hold no copy at all, expired or not. DeliveryMatches selects nothing
+// from such a node and changes nothing in it, so an adapter may skip it.
+//
+//bsub:hotpath
+func (s *Session) StoresEmpty() bool {
+	return s.n.produced.Len() == 0 && s.n.carried.Len() == 0
 }
 
 // ReplicationMatches decodes the peer broker's relay advert and returns

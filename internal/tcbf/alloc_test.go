@@ -94,6 +94,11 @@ func TestFilterOpsAllocationFree(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+		assertZeroAllocs(t, "WireSize", func() {
+			if _, err := f.WireSize(mode); err != nil {
+				t.Fatal(err)
+			}
+		})
 		dec := MustNew(cfg, 0)
 		assertZeroAllocs(t, "DecodeInto", func() {
 			if err := dec.DecodeInto(buf, now); err != nil {
@@ -136,6 +141,11 @@ func TestPartitionedOpsAllocationFree(t *testing.T) {
 	assertZeroAllocs(t, "Partitioned.EncodeTo", func() {
 		buf, err = p.EncodeTo(buf[:0], CountersFull)
 		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	assertZeroAllocs(t, "Partitioned.WireSize", func() {
+		if _, err := p.WireSize(CountersNone); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -120,7 +120,17 @@ func BenchmarkPartitionedEncodeTo(b *testing.B) {
 // exchange. Round-robin over the population keeps the encoded filters
 // out of cache, as they are when contacts pick nodes at random. The
 // population is rebuilt (off the clock) before decay could empty it.
-func BenchmarkPopulationCodec(b *testing.B) {
+func BenchmarkPopulationCodec(b *testing.B) { populationCodec(b, false) }
+
+// BenchmarkPopulationWireSize is BenchmarkPopulationCodec with the advert
+// charged by size only (WireSize), as the simulator charges an advert
+// whose peer has nothing to replicate: the stats scan runs, the emission
+// pass does not.
+func BenchmarkPopulationWireSize(b *testing.B) { populationCodec(b, true) }
+
+// populationCodec runs the population codec benchmark, with the advert
+// either encoded or, with sizeOnly, only sized.
+func populationCodec(b *testing.B, sizeOnly bool) {
 	const (
 		filters = 4096
 		rounds  = 512 // ticks of decay between rebuilds; counters start >= 1024 ticks
@@ -186,7 +196,12 @@ func BenchmarkPopulationCodec(b *testing.B) {
 		if err = scratch.DecodeInto(full, now); err != nil {
 			b.Fatal(err)
 		}
-		if advert, err = p.EncodeTo(advert[:0], CountersNone); err != nil {
+		if sizeOnly {
+			_, err = p.WireSize(CountersNone)
+		} else {
+			advert, err = p.EncodeTo(advert[:0], CountersNone)
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -93,25 +93,34 @@ func checkMode(mode CounterMode) error {
 	return nil
 }
 
-// encodeTo is EncodeTo that also returns the encoded set-bit count, which
-// lets the partitioned encoder drop an empty partition's body without a
-// separate emptiness scan. It makes two passes over the counter words: a
-// stats scan that settles pending decay in place and yields everything
-// the output size depends on, then one emission pass that writes the
-// locations (list or bitmap) and the counter bytes at precomputed offsets
-// of a buffer grown once.
+// wireStats is what a filter's encoding depends on besides the counters
+// themselves: the set-bit count, the largest counter in ticks (zero in
+// CountersNone mode), the location layout, and the exact encoded size.
+type wireStats struct {
+	nSet      int
+	maxT      uint32
+	useBitmap bool
+	locBits   int // bits per listed location, ceil(log2 m)
+	locLen    int
+	size      int
+}
+
+// statsScan is the pass every encoding starts with, and all that
+// WireSize runs: one pass over the counter words that settles pending
+// decay in place and yields everything the output size depends on.
+// Popcount of the lane flags counts set bits; when the mode carries
+// counters, a running maxWord accumulates the per-lane maximum, and in
+// uniform mode uniformity is a whole-word compare against the first
+// value broadcast into every non-zero lane. Settled words are written
+// back, so the emission pass (and every later operation) reads effective
+// counters directly.
 //
 //bsub:hotpath
-func (f *Filter) encodeTo(dst []byte, mode CounterMode) ([]byte, int, error) {
+func (f *Filter) statsScan(mode CounterMode) (wireStats, error) {
+	var st wireStats
 	if err := checkMode(mode); err != nil {
-		return nil, 0, err
+		return st, err
 	}
-	// Stats scan: popcount of the lane flags counts set bits; when the
-	// mode carries counters, a running maxWord accumulates the per-lane
-	// maximum, and in uniform mode uniformity is a whole-word compare
-	// against the first value broadcast into every non-zero lane. Settled
-	// words are written back, so the emission pass (and every later
-	// operation) reads effective counters directly.
 	words := f.words
 	pend := bcast(f.pendingTicks)
 	f.pendingTicks = 0
@@ -145,35 +154,53 @@ func (f *Filter) encodeTo(dst []byte, mode CounterMode) ([]byte, int, error) {
 		}
 	}
 	if mode == CountersUniform && !uniformT {
-		return nil, 0, fmt.Errorf("%w: %d set counters span multiple values", ErrNotUniform, nSet)
+		return st, fmt.Errorf("%w: %d set counters span multiple values", ErrNotUniform, nSet)
 	}
 
-	// The output size is now known: an 11-byte header, the locations, and
-	// per mode an 8-byte scale plus one byte per set counter.
+	// The output size: an 11-byte header, the locations, and per mode an
+	// 8-byte scale plus one byte per set counter.
 	m := f.M()
-	locBits := bitsFor(m)
-	useBitmap := nSet*locBits >= m
-	locLen := (nSet*locBits + 7) / 8
-	if useBitmap {
-		locLen = (m + 7) / 8
+	st.nSet, st.maxT, st.locBits = nSet, maxT, bitsFor(m)
+	st.useBitmap = nSet*st.locBits >= m
+	st.locLen = (nSet*st.locBits + 7) / 8
+	if st.useBitmap {
+		st.locLen = (m + 7) / 8
 	}
-	size := 11 + locLen
+	st.size = 11 + st.locLen
 	switch mode {
 	case CountersUniform:
-		size += 8
+		st.size += 8
 	case CountersFull:
-		size += 8 + nSet
+		st.size += 8 + nSet
 	}
+	return st, nil
+}
+
+// encodeTo is EncodeTo that also returns the encoded set-bit count, which
+// lets the partitioned encoder drop an empty partition's body without a
+// separate emptiness scan. It makes two passes over the counter words:
+// statsScan, then one emission pass that writes the locations (list or
+// bitmap) and the counter bytes at precomputed offsets of a buffer grown
+// once.
+//
+//bsub:hotpath
+func (f *Filter) encodeTo(dst []byte, mode CounterMode) ([]byte, int, error) {
+	st, err := f.statsScan(mode)
+	if err != nil {
+		return nil, 0, err
+	}
+	nSet, locBits, locLen := st.nSet, st.locBits, st.locLen
 	start := len(dst)
-	if cap(dst)-start < size {
-		dst = growBuf(dst, size)
+	if cap(dst)-start < st.size {
+		dst = growBuf(dst, st.size)
 	}
-	dst = dst[:start+size]
+	dst = dst[:start+st.size]
 	out := dst[start:]
 
+	m := f.M()
 	out[0] = wireMagic
 	out[1] = byte(mode)
-	if useBitmap {
+	if st.useBitmap {
 		out[1] |= flagBitmap
 	}
 	binary.BigEndian.PutUint32(out[2:], uint32(m))
@@ -181,7 +208,7 @@ func (f *Filter) encodeTo(dst []byte, mode CounterMode) ([]byte, int, error) {
 	binary.BigEndian.PutUint32(out[7:], uint32(nSet))
 	loc, ctr := out[11:11+locLen], out[11+locLen:]
 	if mode != CountersNone {
-		binary.BigEndian.PutUint64(ctr, math.Float64bits(float64(maxT)*f.quantum))
+		binary.BigEndian.PutUint64(ctr, math.Float64bits(float64(st.maxT)*f.quantum))
 		ctr = ctr[8:]
 	}
 	if nSet == 0 {
@@ -194,10 +221,11 @@ func (f *Filter) encodeTo(dst []byte, mode CounterMode) ([]byte, int, error) {
 	// list packs each position in locBits bits, MSB first, draining the
 	// accumulator a byte at a time (locBits <= 24 for any decodable
 	// geometry, so it never fills).
+	words := f.words
 	full := mode == CountersFull
-	qs := 255.0 / float64(maxT) // hoisted reciprocal; maxT > 0 when nSet > 0
+	qs := 255.0 / float64(st.maxT) // hoisted reciprocal; maxT > 0 when nSet > 0
 	ci := 0
-	if useBitmap {
+	if st.useBitmap {
 		clear(loc)
 		for wi, w := range words {
 			if w == 0 {
@@ -476,14 +504,16 @@ func bitmapChunk(loc []byte, off int) uint64 {
 }
 
 // WireSize returns the number of bytes Encode would produce in the given
-// mode; it is what the simulator charges against a contact's bandwidth
-// budget.
+// mode, without producing them: it runs only the encoder's stats scan.
+// Like EncodeTo it settles pending decay in place, so it leaves the
+// filter in the state an encoding would, under the same single-owner
+// rule. The simulator charges a relay advert nobody will match with it
+// (engine.Session.RelayAdvertSize).
+//
+//bsub:hotpath
 func (f *Filter) WireSize(mode CounterMode) (int, error) {
-	b, err := f.Encode(mode)
-	if err != nil {
-		return 0, err
-	}
-	return len(b), nil
+	st, err := f.statsScan(mode)
+	return st.size, err
 }
 
 // PaperWireBits returns the Section VI-C analytic size, in bits, of a

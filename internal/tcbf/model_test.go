@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -327,6 +328,7 @@ type subject interface {
 	Reset(now time.Duration)
 	Encode(mode CounterMode) ([]byte, error)
 	EncodeTo(dst []byte, mode CounterMode) ([]byte, error)
+	WireSize(mode CounterMode) (int, error)
 	DecodeInto(data []byte, now time.Duration) error
 	InsertPre(k PreKey, now time.Duration) error
 	ContainsPre(k PreKey, now time.Duration) (bool, error)
@@ -341,6 +343,7 @@ type subject interface {
 	decode(data []byte, now time.Duration) (subject, error)
 	refEncode(refs []*refTCBF, mode CounterMode) ([]byte, error)
 	partitions() []*Filter
+	clone() subject
 }
 
 type filterSubject struct{ *Filter }
@@ -381,6 +384,8 @@ func (s filterSubject) refEncode(refs []*refTCBF, mode CounterMode) ([]byte, err
 }
 
 func (s filterSubject) partitions() []*Filter { return []*Filter{s.Filter} }
+
+func (s filterSubject) clone() subject { return filterSubject{s.Clone()} }
 
 type partSubject struct{ *Partitioned }
 
@@ -424,6 +429,8 @@ func (s partSubject) refEncode(refs []*refTCBF, mode CounterMode) ([]byte, error
 }
 
 func (s partSubject) partitions() []*Filter { return s.parts }
+
+func (s partSubject) clone() subject { return partSubject{s.Clone()} }
 
 // newSubject returns a bare *Filter for h == 0, else a *Partitioned with h
 // partitions.
@@ -700,9 +707,11 @@ func (st *modelState) ticks() []uint32 {
 // checkWire pins the encoder byte for byte to the longhand reference
 // encoder over the models' counters, the append-style encoder and the
 // in-place decoder to their allocating counterparts on f1's current
-// state, and the uniform mode's refusal of non-uniform counters to the
-// models' view. The decoded copy keeps every set bit, lands each counter
-// within the wire quantization, and refuses inserts on every partition.
+// state, the size-only WireSize to the encoding's length and to the state
+// encoding leaves, and the uniform mode's refusal of non-uniform counters
+// to the models' view. The decoded copy keeps every set bit, lands each
+// counter within the wire quantization, and refuses inserts on every
+// partition.
 func (st *modelState) checkWire(mode CounterMode) {
 	t := st.t
 	t.Helper()
@@ -710,7 +719,18 @@ func (st *modelState) checkWire(mode CounterMode) {
 		r.advance(st.now) // encoding reflects the advanced clock
 	}
 	want, wantErr := st.f1.refEncode(st.r1, mode)
+	sized := st.f1.clone()
+	size, sizeErr := sized.WireSize(mode)
 	plain, err := st.f1.Encode(mode)
+	if (sizeErr != nil) != (err != nil) || (err == nil && size != len(plain)) {
+		t.Fatalf("WireSize (mode %d) = %d, %v; Encode gave %d bytes, %v", mode, size, sizeErr, len(plain), err)
+	}
+	for i, f := range st.f1.partitions() {
+		if g := sized.partitions()[i]; !slices.Equal(g.words, f.words) ||
+			g.pendingTicks != f.pendingTicks || g.pendingNanos != f.pendingNanos || g.last != f.last {
+			t.Fatalf("WireSize (mode %d) left partition %d in another state than Encode", mode, i)
+		}
+	}
 	if mode == CountersUniform {
 		if (wantErr != nil) != (err != nil) || (err != nil && !errors.Is(err, ErrNotUniform)) {
 			t.Fatalf("uniform encode err = %v, reference err %v", err, wantErr)

@@ -339,13 +339,29 @@ func (p *Partitioned) EncodeTo(dst []byte, mode CounterMode) ([]byte, error) {
 	return dst, nil
 }
 
-// WireSize returns the encoded size in bytes.
+// WireSize returns the number of bytes Encode would produce in the given
+// mode, running only each partition's stats scan: the 2-byte header, a
+// 4-byte length per partition, and the body of each non-empty one. Like
+// EncodeTo it settles pending decay in place, partition by partition, and
+// stops at the same error.
+//
+//bsub:hotpath
 func (p *Partitioned) WireSize(mode CounterMode) (int, error) {
-	b, err := p.Encode(mode)
-	if err != nil {
+	if err := checkMode(mode); err != nil {
 		return 0, err
 	}
-	return len(b), nil
+	size := 2
+	for _, f := range p.parts {
+		st, err := f.statsScan(mode)
+		if err != nil {
+			return 0, err
+		}
+		size += 4
+		if st.nSet > 0 {
+			size += st.size
+		}
+	}
+	return size, nil
 }
 
 // DecodePartitioned reconstructs a partitioned filter; cfg supplies the

@@ -11,9 +11,10 @@ import (
 )
 
 // maxLinkedPairs caps the linked-pair graph a Stream will instantiate.
-// Memory is O(linked pairs) (~56 bytes each), so the cap bounds setup to a
-// few GB; configurations that exceed it (huge fully-connected populations)
-// need a sparser CrossLinkProb or smaller communities.
+// Memory is O(linked pairs) (~56 bytes each: a 40-byte pair stream and a
+// 16-byte heap entry), so the cap bounds setup to a few GB; configurations
+// that exceed it (huge fully-connected populations) need a sparser
+// CrossLinkProb or smaller communities.
 const maxLinkedPairs = 1 << 27
 
 // minContactDuration floors the exponential contact-length draw; Bluetooth
@@ -32,45 +33,55 @@ func pairSeed(seed int64, a, b int32) xrand.PRNG {
 }
 
 // pairStream is one linked pair's lazily evaluated Poisson contact process:
-// the buffered next contact [start, end), the candidate-arrival clock t (in
-// hours), the previous emitted contact's end (pairs cannot overlap
-// themselves), the pair's own generator, and its calibrated peak rate.
+// the end of its buffered next contact (whose start lives in the pair's
+// heap entry), the candidate-arrival clock t (in hours), the pair's own
+// generator, and its calibrated peak rate. 40 bytes.
 type pairStream struct {
-	start, end time.Duration
-	prevEnd    time.Duration
-	t          float64
-	rng        xrand.PRNG
-	rate       float64 // contacts per hour at peak activity
-	a, b       int32
+	// end is the buffered contact's end, and so the end of the last
+	// contact the pair will have emitted when the next draw runs: pairs
+	// cannot overlap themselves. It is -1 before the first draw, so a
+	// first contact starting at 0 is accepted.
+	end  time.Duration
+	t    float64
+	rng  xrand.PRNG
+	rate float64 // contacts per hour at peak activity
+	a, b int32
 }
 
 // advance draws candidate arrivals until one is accepted (diurnal thinning,
-// no self-overlap) or the span is exhausted, buffering the accepted contact
-// in start/end. Durations are drawn eagerly with acceptance so the heap
-// comparator below is total.
+// no self-overlap) or the span is exhausted, buffering the accepted
+// contact's end in p.end and returning its start. Durations are drawn
+// eagerly with acceptance so the heap comparator below is total.
 //
 //bsub:hotpath
-func (p *pairStream) advance(s *Stream) bool {
+func (p *pairStream) advance(s *Stream) (time.Duration, bool) {
 	for {
 		p.t += p.rng.Exp() / p.rate
 		if p.t >= s.limitHours {
-			return false
+			return 0, false
 		}
 		if s.diurnal && p.rng.Float64() >= diurnalActivity(p.t) {
 			continue
 		}
 		start := time.Duration(p.t * float64(time.Hour))
-		if start <= p.prevEnd {
+		if start <= p.end {
 			continue // pairs cannot be in two simultaneous contacts
 		}
 		d := time.Duration(p.rng.Exp() * s.meanDur)
 		if d < minContactDuration {
 			d = minContactDuration
 		}
-		p.start, p.end = start, start+d
-		p.prevEnd = p.end
-		return true
+		p.end = start + d
+		return start, true
 	}
+}
+
+// heapEntry is one pair's slot in the contact heap: the start of its
+// buffered contact, inline so a sift compares starts without touching
+// the pair table, and the pair's index, which breaks ties. 16 bytes.
+type heapEntry struct {
+	start time.Duration
+	idx   int32
 }
 
 // Stream produces a synthetic trace's contacts one at a time in the exact
@@ -78,15 +89,17 @@ func (p *pairStream) advance(s *Stream) bool {
 // materializing the schedule. It holds one pairStream per *linked* pair
 // (same-community pairs plus the sparse sampled cross links) merged through
 // a binary heap keyed on each pair's buffered next contact, so memory is
-// O(linked pairs) and per-contact cost is O(log linked pairs).
+// O(linked pairs) and per-contact cost is O(log linked pairs). (A 4-ary
+// heap is half as deep but measured slower, in BenchmarkStreamNext and
+// end to end: its extra compares per level are unpredictable branches.)
 type Stream struct {
 	cfg        Config
 	limitHours float64
 	meanDur    float64 // MeanContactDuration in time.Duration units
 	diurnal    bool
 	pairs      []pairStream
-	heap       []int32   // indices into pairs, min-heap on buffered contact
-	rates      []float64 // lazily computed by ActivityRates
+	heap       []heapEntry // min-heap on buffered contact
+	rates      []float64   // lazily computed by ActivityRates
 	emitted    int
 }
 
@@ -137,7 +150,7 @@ func NewStream(cfg Config) (*Stream, error) {
 		limitHours: cfg.Span.Hours(),
 		meanDur:    float64(cfg.MeanContactDuration),
 		diurnal:    cfg.Diurnal,
-		pairs:      make([]pairStream, 0, expLinks),
+		pairs:      make([]pairStream, 0, pairCapacity(sameLinks, totalPairs-sameLinks, crossLink)),
 	}
 
 	shapeSum := 0.0
@@ -206,20 +219,38 @@ func NewStream(cfg Config) (*Stream, error) {
 		meanAct = meanDiurnalActivity()
 	}
 	base := float64(cfg.TargetContacts) / (shapeSum * s.limitHours * meanAct)
-	s.heap = make([]int32, 0, len(s.pairs))
+	s.heap = make([]heapEntry, 0, len(s.pairs))
 	for idx := range s.pairs {
 		p := &s.pairs[idx]
 		p.rate *= base
 		p.rng = pairSeed(cfg.Seed, p.a, p.b)
-		p.prevEnd = -1
-		if p.rate > 0 && p.advance(s) {
-			s.heap = append(s.heap, int32(idx))
+		p.end = -1
+		if p.rate <= 0 {
+			continue
+		}
+		if start, ok := p.advance(s); ok {
+			s.heap = append(s.heap, heapEntry{start: start, idx: int32(idx)})
 		}
 	}
 	for i := len(s.heap)/2 - 1; i >= 0; i-- {
 		s.siftDown(i)
 	}
 	return s, nil
+}
+
+// pairCapacity sizes the pair table for sameLinks same-community pairs
+// plus the sampled cross links, each of crossPairs included with
+// probability p. The cross-link count is binomial, so the table gets six
+// standard deviations of headroom over its mean: sized to the mean, half
+// the seeds would overflow it, and each append regrow copies the whole
+// table and briefly holds about 2.25 times its memory.
+func pairCapacity(sameLinks, crossPairs int64, p float64) int64 {
+	if p >= 1 {
+		return sameLinks + crossPairs
+	}
+	mean := p * float64(crossPairs)
+	headroom := int64(math.Ceil(mean + 6*math.Sqrt(mean*(1-p))))
+	return sameLinks + min(headroom, crossPairs)
 }
 
 // Nodes returns the population size.
@@ -256,33 +287,34 @@ func (s *Stream) Next() (trace.Contact, bool) {
 	if len(s.heap) == 0 {
 		return trace.Contact{}, false
 	}
-	top := s.heap[0]
-	p := &s.pairs[top]
-	c := trace.Contact{A: trace.NodeID(p.a), B: trace.NodeID(p.b), Start: p.start, End: p.end}
-	if p.advance(s) {
-		s.siftDown(0)
+	top := &s.heap[0]
+	p := &s.pairs[top.idx]
+	c := trace.Contact{A: trace.NodeID(p.a), B: trace.NodeID(p.b), Start: top.start, End: p.end}
+	if start, ok := p.advance(s); ok {
+		top.start = start
 	} else {
 		last := len(s.heap) - 1
 		s.heap[0] = s.heap[last]
 		s.heap = s.heap[:last]
-		if last > 0 {
-			s.siftDown(0)
-		}
+	}
+	if len(s.heap) > 1 {
+		s.siftDown(0)
 	}
 	s.emitted++
 	return c, true
 }
 
 // less orders heap entries by their buffered contact: (Start, End, A, B),
-// the same total order trace.New sorts materialized traces into. Distinct
-// pairs differ in (A, B), so the order is total.
+// the same total order trace.New sorts materialized traces into. Starts
+// are inline; only equal starts reach the pair table. Distinct pairs
+// differ in (A, B), so the order is total.
 //
 //bsub:hotpath
-func (s *Stream) less(x, y int32) bool {
-	px, py := &s.pairs[x], &s.pairs[y]
-	if px.start != py.start {
-		return px.start < py.start
+func (s *Stream) less(x, y heapEntry) bool {
+	if x.start != y.start {
+		return x.start < y.start
 	}
+	px, py := &s.pairs[x.idx], &s.pairs[y.idx]
 	if px.end != py.end {
 		return px.end < py.end
 	}
@@ -292,23 +324,28 @@ func (s *Stream) less(x, y int32) bool {
 	return px.b < py.b
 }
 
+// siftDown restores the heap below slot i after its entry grew.
+//
 //bsub:hotpath
 func (s *Stream) siftDown(i int) {
+	h := s.heap
+	e := h[i]
 	for {
 		l := 2*i + 1
-		if l >= len(s.heap) {
-			return
+		if l >= len(h) {
+			break
 		}
 		least := l
-		if r := l + 1; r < len(s.heap) && s.less(s.heap[r], s.heap[l]) {
+		if r := l + 1; r < len(h) && s.less(h[r], h[l]) {
 			least = r
 		}
-		if !s.less(s.heap[least], s.heap[i]) {
-			return
+		if !s.less(h[least], e) {
+			break
 		}
-		s.heap[i], s.heap[least] = s.heap[least], s.heap[i]
+		h[i] = h[least]
 		i = least
 	}
+	h[i] = e
 }
 
 // pairAt maps a triangular pair index k in [0, n(n-1)/2) to the pair

@@ -2,6 +2,7 @@ package tracegen
 
 import (
 	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 	"time"
@@ -82,6 +83,109 @@ func TestStreamNextAllocFree(t *testing.T) {
 	})
 	if got != 0 {
 		t.Errorf("Next allocates %.1f objects per contact, want 0", got)
+	}
+}
+
+// TestStreamEqualStartsPopInOrder plants heap entries whose starts tie
+// and checks that they pop in (End, A, B) order: the inline start key
+// must hand every tie to the pair table. The stream's span is empty, so
+// each pop retires its pair.
+func TestStreamEqualStartsPopInOrder(t *testing.T) {
+	const at = 5 * time.Minute
+	pairs := []pairStream{
+		{end: at + 3*time.Minute, a: 0, b: 1},
+		{end: at + time.Minute, a: 4, b: 6},
+		{end: at + time.Minute, a: 2, b: 9},
+		{end: at + 2*time.Minute, a: 1, b: 2},
+		{end: at + time.Minute, a: 2, b: 3},
+		{end: at - time.Minute, a: 7, b: 8}, // starts earlier
+		{end: at + time.Minute, a: 3, b: 4}, // starts later
+	}
+	starts := []time.Duration{at, at, at, at, at, at - 2*time.Minute, at + 10*time.Second}
+	want := []trace.Contact{
+		{A: 7, B: 8, Start: at - 2*time.Minute, End: at - time.Minute},
+		{A: 2, B: 3, Start: at, End: at + time.Minute},
+		{A: 2, B: 9, Start: at, End: at + time.Minute},
+		{A: 4, B: 6, Start: at, End: at + time.Minute},
+		{A: 1, B: 2, Start: at, End: at + 2*time.Minute},
+		{A: 0, B: 1, Start: at, End: at + 3*time.Minute},
+		{A: 3, B: 4, Start: at + 10*time.Second, End: at + time.Minute},
+	}
+	// Every planted order of the entries must pop the same sequence.
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 50; trial++ {
+		s := &Stream{pairs: append([]pairStream(nil), pairs...)}
+		for i := range s.pairs {
+			s.pairs[i].rate = 1
+			s.heap = append(s.heap, heapEntry{start: starts[i], idx: int32(i)})
+		}
+		rng.Shuffle(len(s.heap), func(i, j int) { s.heap[i], s.heap[j] = s.heap[j], s.heap[i] })
+		for i := len(s.heap)/2 - 1; i >= 0; i-- {
+			s.siftDown(i)
+		}
+		for i, w := range want {
+			c, ok := s.Next()
+			if !ok || c != w {
+				t.Fatalf("trial %d: pop %d = %+v, %v; want %+v", trial, i, c, ok, w)
+			}
+		}
+		if _, ok := s.Next(); ok {
+			t.Fatalf("trial %d: stream outlived its planted entries", trial)
+		}
+	}
+}
+
+// TestPairTableNeverRegrows checks that NewStream sizes the pair table
+// once: the sampled cross-link count is binomial, and a table sized to its
+// mean overflows for about half the seeds, so each append regrow copies
+// the whole table. A stream whose table regrew has a capacity above the
+// one NewStream allocated.
+func TestPairTableNeverRegrows(t *testing.T) {
+	const nodes = 2000
+	for seed := int64(1); seed <= 60; seed++ {
+		cfg := Scale(nodes, seed)
+		s, err := NewStream(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Replay NewStream's community draw to count same-community pairs.
+		rng := rand.New(rand.NewSource(cfg.Seed))
+		activityWeights(rng, cfg.Nodes, cfg.ActivityAlpha)
+		size := make([]int64, cfg.Communities)
+		for _, c := range assignCommunities(rng, cfg.Nodes, cfg.Communities) {
+			size[c]++
+		}
+		var same int64
+		for _, m := range size {
+			same += m * (m - 1) / 2
+		}
+		allocated := pairCapacity(same, int64(nodes)*(nodes-1)/2-same, cfg.CrossLinkProb)
+		if int64(cap(s.pairs)) != allocated || int64(s.Links()) > allocated {
+			t.Fatalf("seed %d: %d links in a pair table of capacity %d; NewStream allocated %d",
+				seed, s.Links(), cap(s.pairs), allocated)
+		}
+	}
+}
+
+// BenchmarkStreamNext times one contact of a sim-population-sized stream
+// (50k nodes, about a million linked pairs): the heap pop, the pair's next
+// draw and the sift. A stream that runs dry is rebuilt off the clock.
+func BenchmarkStreamNext(b *testing.B) {
+	cfg := Scale(50_000, 201)
+	s, err := NewStream(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := s.Next(); !ok {
+			b.StopTimer()
+			if s, err = NewStream(cfg); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
 	}
 }
 
