@@ -1,7 +1,7 @@
 GO ?= go
 SHADOW := $(shell command -v shadow 2>/dev/null)
 
-.PHONY: build test race allocs vet vet-shadow fmt-check lint lint-one parity chaos chaos-mesh fuzz golden bench-smoke determinism scale artifacts perfbench-test check bench
+.PHONY: build test race allocs vet vet-shadow fmt-check lint lint-one parity chaos chaos-mesh fuzz golden bench-smoke determinism artifacts perfbench-test check bench
 
 build:
 	$(GO) build ./...
@@ -123,23 +123,18 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkStreamNext$$' -benchtime 10x ./internal/tracegen
 
 # determinism is the quick-mode sharded-runner gate: the same seeded scale
-# config must produce byte-identical reports at workers=1 and workers=8,
-# across epoch widths, and streamed vs materialized, for B-SUB and the
-# PUSH/PULL baselines (DESIGN.md §11).
+# config must produce byte-identical reports at workers=1 and workers=8
+# (bsub-sim -nodes included), across epoch widths, and streamed vs
+# materialized, for B-SUB and the PUSH/PULL baselines (DESIGN.md §11).
 determinism:
-	$(GO) test -count=1 -short -run 'TestShardedDeterminism|TestStreamedMatchesMaterialized|TestScaleRunDeterministicAcrossWorkers|TestBaselinesShardedDeterminism' \
-		./internal/sim ./internal/experiments ./internal/protocol
-
-# scale runs the full ROADMAP population sweep (10k / 100k / 1M nodes,
-# takes minutes and a few GB of RAM) and leaves scale.csv in artifacts/.
-scale:
-	$(GO) run ./cmd/experiments -run scale -csv artifacts
+	$(GO) test -count=1 -short -run 'TestShardedDeterminism|TestStreamedMatchesMaterialized|TestNodesDeterministicAcrossWorkers|TestBaselinesShardedDeterminism' \
+		./internal/sim ./cmd/bsub-sim ./internal/protocol
 
 # artifacts regenerates every checked-in result of the evaluation — Tables
 # I-II, Figs. 7-9, the memory, analysis and allocation tables and the
 # seven ablation grids — as one CSV per table in artifacts/ (seed 1, full
-# fixtures; about a minute on 2 vCPUs). The scale sweep is left to the
-# scale target. EXPERIMENTS.md quotes these files and nothing else.
+# fixtures; about a minute on 2 vCPUs). EXPERIMENTS.md quotes these files
+# and nothing else.
 artifacts:
 	$(GO) run ./cmd/experiments -csv artifacts
 

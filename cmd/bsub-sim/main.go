@@ -15,14 +15,26 @@
 // message rates proportional to centrality, sizes up to 140 bytes.
 // -workers shards contact execution across goroutines and -epoch sets the
 // barrier width; results are byte-identical for any setting of either.
+// With -nodes, a last engine: line reports the instrument: workers, wall
+// time, contacts/s, and the process's peak RSS, in total and per node.
+// Running it over a grid of -nodes and -workers measures the simulator's
+// scaling:
+//
+//	for n in 10000 100000; do for w in 1 2; do
+//		bsub-sim -nodes $n -workers $w -ttl 6h -seed 201 | grep engine:
+//	done; done
 package main
 
 import (
+	"bufio"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"strconv"
+	"strings"
 	"time"
 
 	"bsub/internal/core"
@@ -153,10 +165,36 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "result:    %s\n", report)
 	fmt.Fprintf(stdout, "traffic:   control %d B, data %d B\n", report.ControlBytes, report.DataBytes)
 	if *nodes > 0 {
-		fmt.Fprintf(stdout, "engine:    %d workers, %v wall, %.0f contacts/s\n",
-			max(*workers, 1), wall.Round(time.Millisecond), float64(report.Contacts)/wall.Seconds())
+		rss := peakRSS()
+		fmt.Fprintf(stdout, "engine:    %d workers, %v wall, %.0f contacts/s, peak RSS %d B (%.0f B/node)\n",
+			max(*workers, 1), wall.Round(time.Millisecond), float64(report.Contacts)/wall.Seconds(),
+			rss, float64(rss)/float64(*nodes))
 	}
 	return nil
+}
+
+// peakRSS returns the process's resident-set high-water mark in bytes:
+// VmHWM from /proc/self/status on Linux, the Go heap's OS footprint
+// elsewhere (an undercount, but monotone and dependency-free). The mark
+// covers the whole process, so in one process it is the largest run's.
+func peakRSS() int64 {
+	f, err := os.Open("/proc/self/status")
+	if err == nil {
+		defer f.Close()
+		sc := bufio.NewScanner(f)
+		for sc.Scan() {
+			if v, ok := strings.CutPrefix(sc.Text(), "VmHWM:"); ok {
+				if fields := strings.Fields(v); len(fields) > 0 {
+					if kb, err := strconv.ParseInt(fields[0], 10, 64); err == nil {
+						return kb * 1024
+					}
+				}
+			}
+		}
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.Sys)
 }
 
 func loadTrace(preset, path string, seed int64) (*trace.Trace, error) {

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -17,7 +19,8 @@ import (
 
 // TestRunMatchesSimRun drives both trace modes through run and checks that
 // the printed result line is the report sim.Run gives for the same
-// configuration, and that each mode prints its own lines.
+// configuration, and that each mode prints its own lines; the -nodes mode
+// ends with an engine: line carrying throughput and a positive peak RSS.
 func TestRunMatchesSimRun(t *testing.T) {
 	const ttl = time.Hour
 	base := sim.Config{TTL: ttl, BandwidthBps: sim.DefaultBandwidthBps, Seed: 1}
@@ -78,7 +81,43 @@ func TestRunMatchesSimRun(t *testing.T) {
 			if !strings.HasPrefix(stderr.String(), c.note) {
 				t.Errorf("stderr %q, want the %q note", stderr.String(), c.note)
 			}
+			if c.last == "engine:" {
+				var workers, rss, perNode int64
+				var wall string
+				var rate float64
+				if _, err := fmt.Sscanf(lines[len(lines)-1], "engine: %d workers, %s wall, %f contacts/s, peak RSS %d B (%d B/node)",
+					&workers, &wall, &rate, &rss, &perNode); err != nil {
+					t.Fatalf("engine line %q: %v", lines[len(lines)-1], err)
+				}
+				if rate <= 0 || rss <= 0 || perNode <= 0 {
+					t.Errorf("engine line %q: want positive contacts/s, peak RSS and B/node", lines[len(lines)-1])
+				}
+			}
 		})
+	}
+}
+
+// TestNodesDeterministicAcrossWorkers is the quick-mode determinism gate
+// of population runs (make determinism): the protocol-visible outcome of
+// a -nodes run must not depend on the worker count. Wall time and RSS of
+// course do, so every line but engine: is compared: the trace line's
+// contact count, the workload's message count, and the result: and
+// traffic: lines.
+func TestNodesDeterministicAcrossWorkers(t *testing.T) {
+	outcome := func(workers string) string {
+		t.Helper()
+		var stdout bytes.Buffer
+		if err := run([]string{"-nodes", "800", "-ttl", "6h", "-seed", "5", "-workers", workers}, &stdout, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		out, _, ok := strings.Cut(stdout.String(), "engine:")
+		if !ok || !strings.Contains(out, "\nresult:") || !strings.Contains(out, "\ntraffic:") {
+			t.Fatalf("-workers %s printed %q: want result:, traffic: and engine: lines", workers, stdout.String())
+		}
+		return out
+	}
+	if one, eight := outcome("1"), outcome("8"); one != eight {
+		t.Errorf("workers=1 and workers=8 diverged:\n1: %s\n8: %s", one, eight)
 	}
 }
 

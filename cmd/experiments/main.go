@@ -1,14 +1,15 @@
 // Command experiments regenerates every table and figure of the B-SUB
 // paper's evaluation (Section VII) as CSV: each artifact is one or more
 // tables, a header plus one row per x-position, named table1, table2,
-// fig7, fig8, fig9-haggle, fig9-mit, memory, analysis, allocation,
-// ablation-1 … ablation-7 and scale. Tables go to stdout, each followed by
-// a blank line, or to <dir>/<name>.csv with -csv; progress goes to stderr.
+// fig7, fig8, fig9-haggle, fig9-mit, memory, analysis, allocation and
+// ablation-1 … ablation-7. Tables go to stdout, each followed by a blank
+// line, or to <dir>/<name>.csv with -csv; progress goes to stderr.
+// Population-scale runs (nodes × workers) are cmd/bsub-sim's -nodes mode.
 //
 // Usage:
 //
-//	experiments                 # every artifact but scale (minutes)
-//	experiments -run fig7       # one artifact: table1 table2 fig7 fig8 fig9 memory analysis allocation ablation scale
+//	experiments                 # every artifact (minutes)
+//	experiments -run fig7       # one artifact: table1 table2 fig7 fig8 fig9 memory analysis allocation ablation
 //	experiments -csv artifacts  # write artifacts/<name>.csv instead of stdout
 //	experiments -quick          # small fixture + reduced sweeps (seconds)
 package main
@@ -18,7 +19,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"strings"
 	"time"
@@ -35,7 +35,7 @@ func main() {
 
 func run() error {
 	var (
-		only   = flag.String("run", "", "run a single artifact: table1 | table2 | fig7 | fig8 | fig9 | memory | analysis | allocation | ablation | scale")
+		only   = flag.String("run", "", "run a single artifact: table1 | table2 | fig7 | fig8 | fig9 | memory | analysis | allocation | ablation")
 		seed   = flag.Int64("seed", 1, "random seed")
 		quick  = flag.Bool("quick", false, "use the small fixture and reduced sweeps")
 		csvDir = flag.String("csv", "", "write each table to <dir>/<name>.csv instead of stdout")
@@ -43,11 +43,6 @@ func run() error {
 	flag.Parse()
 
 	artifacts := []string{"table1", "table2", "fig7", "fig8", "fig9", "memory", "analysis", "allocation", "ablation"}
-	if *only == "scale" {
-		// The million-node sweep is not part of the run-everything default;
-		// it is requested explicitly.
-		artifacts = append(artifacts, "scale")
-	}
 	if *only != "" {
 		if !slices.Contains(artifacts, *only) {
 			return fmt.Errorf("unknown artifact %q (have %s)", *only, strings.Join(artifacts, ", "))
@@ -198,17 +193,6 @@ func build(name string, seed int64, quick bool) ([]experiments.Table, error) {
 			tables = append(tables, experiments.AblationTable(fmt.Sprintf("ablation-%d", i+1), results))
 		}
 		return tables, nil
-
-	case "scale":
-		sizes := experiments.DefaultScaleSizes
-		if quick {
-			sizes = experiments.QuickScaleSizes
-		}
-		points, err := experiments.ScaleSweep(sizes, runtime.GOMAXPROCS(0), seed)
-		if err != nil {
-			return nil, err
-		}
-		return []experiments.Table{experiments.ScaleTable(points)}, nil
 	}
 	return nil, fmt.Errorf("unknown artifact %q", name)
 }

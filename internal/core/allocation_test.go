@@ -50,7 +50,7 @@ func newTestBSub(t *testing.T, nodes int) *BSub {
 // this package keeps the adapter-level tests.
 
 func TestAdapterTracksBrokerCensus(t *testing.T) {
-	// The adapter's broker census and oracle lifecycle must follow the
+	// BrokerCount and the adapter's oracle lifecycle must follow the
 	// engine's election outcomes across a contact.
 	p := newTestBSub(t, 3)
 	if p.BrokerCount() != 0 {

@@ -63,11 +63,11 @@ func newAdapterContactRig(tb testing.TB, c adapterCase) (p *BSub, contact, resee
 			n := &p.nodes[i]
 			n.eng.Demote()
 			if i == 1 && c.consumer {
-				p.syncRole(n, now)
+				n.syncRole(now)
 				continue
 			}
 			n.eng.Promote(now)
-			p.syncRole(n, now)
+			n.syncRole(now)
 			if err := n.eng.Relay().InsertAllPre(pres[i], now); err != nil {
 				tb.Fatal(err)
 			}

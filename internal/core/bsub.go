@@ -20,7 +20,6 @@ package core
 
 import (
 	"math/rand"
-	"sync"
 	"time"
 
 	"bsub/internal/engine"
@@ -70,24 +69,15 @@ type node struct {
 }
 
 // BSub is the simulator driver; per-node protocol state lives in the
-// engine.
+// engine. It holds only per-node and per-worker state, so contacts in
+// disjoint components, which the sharded simulator runs concurrently,
+// share nothing and need no lock.
 type BSub struct {
 	cfg   Config
 	nodes []node
 
 	// workers holds one scratch record per simulator worker.
 	workers []*worker
-
-	// The broker census below is cross-node diagnostic state, so it is the
-	// one piece of BSub that contacts in disjoint components still share;
-	// censusMu keeps it race-free under the sharded simulator. Under
-	// workers > 1 the per-contact fraction samples depend on cross-
-	// component interleaving, so MeanBrokerFraction is reproducible only
-	// at Workers <= 1 — it feeds diagnostics, never the metrics Report.
-	censusMu          sync.Mutex
-	brokerFractionSum float64
-	brokerSamples     int
-	brokerCount       int
 }
 
 // worker is one simulator worker's scratch: its engine.SessionCache, so a
@@ -161,7 +151,8 @@ func (p *BSub) OnContact(env sim.Env, aID, bID trace.NodeID, budget *sim.Budget)
 	actA, actB := sa.Elect(), sb.Elect()
 	sa.Apply(actA, actB)
 	sb.Apply(actB, actA)
-	p.syncRoles(a, b, now)
+	a.syncRole(now)
+	b.syncRole(now)
 
 	// 3. Interest propagation: brokers exchange relay filters and forward
 	// preferentially; mixed contacts push the consumer's genuine filter.
@@ -186,27 +177,14 @@ func (p *BSub) OnContact(env sim.Env, aID, bID trace.NodeID, budget *sim.Budget)
 	sb.Release()
 }
 
-// syncRoles reconciles both contact sides' oracles and the broker census
-// with the engines' post-election roles; an active oracle marks "was
-// broker". One mutex hold covers the role flips and the census sample.
-func (p *BSub) syncRoles(a, b *node, now time.Duration) {
-	p.censusMu.Lock()
-	defer p.censusMu.Unlock()
-	p.syncRole(a, now)
-	p.syncRole(b, now)
-	p.brokerFractionSum += float64(p.brokerCount) / float64(len(p.nodes))
-	p.brokerSamples++
-}
-
-// syncRole updates one node under censusMu.
-func (p *BSub) syncRole(n *node, now time.Duration) {
+// syncRole reconciles the node's oracle with its engine's post-election
+// role: a promoted node starts an empty oracle, a demoted one drops it.
+func (n *node) syncRole(now time.Duration) {
 	switch {
 	case n.eng.IsBroker() && !n.oracle.active():
 		n.oracle.start(now)
-		p.brokerCount++
 	case !n.eng.IsBroker() && n.oracle.active():
 		n.oracle.stop()
-		p.brokerCount--
 	}
 }
 
@@ -390,17 +368,16 @@ func (p *BSub) moveCopies(env sim.Env, ph phase, transfers []engine.Transfer, sr
 // IsBroker reports whether node id currently serves as a broker.
 func (p *BSub) IsBroker(id trace.NodeID) bool { return p.nodes[id].eng.IsBroker() }
 
-// BrokerCount returns the number of current brokers.
-func (p *BSub) BrokerCount() int { return p.brokerCount }
-
-// MeanBrokerFraction returns the broker share of the population averaged
-// over all contacts — the quantity behind the paper's "[the thresholds]
-// maintain about 30% of the nodes being brokers in two traces".
-func (p *BSub) MeanBrokerFraction() float64 {
-	if p.brokerSamples == 0 {
-		return 0
+// BrokerCount returns the number of current brokers. It reads every
+// node's engine, so call it only while no contact runs.
+func (p *BSub) BrokerCount() int {
+	count := 0
+	for i := range p.nodes {
+		if p.nodes[i].eng.IsBroker() {
+			count++
+		}
 	}
-	return p.brokerFractionSum / float64(p.brokerSamples)
+	return count
 }
 
 // RelayFilter returns node id's relay filter, or nil for non-brokers.

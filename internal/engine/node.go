@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -102,13 +101,6 @@ type Node struct {
 	// per-contact filter builds (GenuineOut, InterestOut) hash nothing.
 	preInterests []tcbf.PreKey
 	broker       bool
-	// sightSum is the running sum of the degrees in sightings, so the
-	// election's mean degree needs no scan. sightWide marks it unusable: a
-	// degree or a sum left int32 range (absurd announcements only), and
-	// brokersInWindow rescans until a scan brings the sum back in range.
-	// Both live in the padding after broker, keeping Node in its size class.
-	sightWide bool
-	sightSum  int32
 
 	// relay is the broker's relay filter, the Section VI-D partitioned
 	// TCBF; nil for plain users.
@@ -345,9 +337,7 @@ func (n *Node) RecordBrokerSighting(peer NodeID, degree int, at time.Duration) {
 	for j >= 0 && s[j].peer != peer {
 		j--
 	}
-	if j >= 0 {
-		n.addSightDegree(-s[j].degree)
-	} else {
+	if j < 0 {
 		s = append(s, sighting{})
 		j = len(s) - 1
 	}
@@ -362,40 +352,21 @@ func (n *Node) RecordBrokerSighting(peer NodeID, degree int, at time.Duration) {
 		}
 		copy(s[i+1:j+1], s[i:j])
 	}
-	n.addSightDegree(degree)
 	s[i] = sighting{peer: peer, at: at, degree: degree}
 	n.sightings = s
 }
 
-// forgetSighting drops peer's sighting, if any, and its degree from the
-// running sum.
+// forgetSighting drops peer's sighting, if any.
 //
 //bsub:hotpath
 func (n *Node) forgetSighting(peer NodeID) {
 	s := n.sightings
 	for i := len(s) - 1; i >= 0; i-- {
 		if s[i].peer == peer {
-			n.addSightDegree(-s[i].degree)
 			n.sightings = s[:i+copy(s[i:], s[i+1:])]
 			return
 		}
 	}
-}
-
-// addSightDegree moves the running sighting-degree sum by d, marking it
-// wide when d or the result leaves int32 range.
-//
-//bsub:hotpath
-func (n *Node) addSightDegree(d int) {
-	if n.sightWide {
-		return
-	}
-	sum := int64(n.sightSum) + int64(d)
-	if d < math.MinInt32 || d > math.MaxInt32 || sum < math.MinInt32 || sum > math.MaxInt32 {
-		n.sightWide = true
-		return
-	}
-	n.sightSum = int32(sum)
 }
 
 // Degree counts the distinct peers met within the election window ending
@@ -437,29 +408,22 @@ func (n *Node) countPeers(now, window time.Duration) int {
 
 // brokersInWindow returns the number of distinct brokers sighted within
 // the window and the mean of their last-reported degrees, dropping the
-// expired sightings (a prefix, as in Degree) and their degrees from the
-// running sum. Only a wide sum sends it to rescan the survivors.
+// expired sightings (a prefix, as in Degree) and summing the survivors.
 //
 //bsub:hotpath
 func (n *Node) brokersInWindow(now time.Duration) (count int, meanDegree float64) {
 	s := n.sightings
 	k := 0
 	for k < len(s) && now-s[k].at > n.p.cfg.Window {
-		n.addSightDegree(-s[k].degree)
 		k++
 	}
 	if k > 0 {
 		s = s[:copy(s, s[k:])]
 		n.sightings = s
 	}
-	sum := int(n.sightSum)
-	if n.sightWide {
-		sum = 0
-		for _, e := range s {
-			sum += e.degree
-		}
-		n.sightWide = sum < math.MinInt32 || sum > math.MaxInt32
-		n.sightSum = int32(sum)
+	sum := 0
+	for _, e := range s {
+		sum += e.degree
 	}
 	count = len(s)
 	if count > 0 {

@@ -140,23 +140,3 @@ func AllocationTable(points []AllocationPoint) Table {
 	}
 	return t
 }
-
-// ScaleTable renders the population sweep, one row per size.
-func ScaleTable(points []ScalePoint) Table {
-	t := Table{Name: "scale", Header: []string{
-		"nodes", "workers", "links", "contacts", "messages",
-		"delivery", "fwd_per_delivered", "fpr", "control_bytes",
-		"wall_seconds", "contacts_per_sec", "peak_rss_bytes", "rss_bytes_per_node",
-	}}
-	for _, p := range points {
-		t.Rows = append(t.Rows, []string{
-			strconv.Itoa(p.Nodes), strconv.Itoa(p.Workers),
-			strconv.Itoa(p.Links), strconv.Itoa(p.Contacts), strconv.Itoa(p.Messages),
-			ftoa(p.Delivery), ftoa(p.FwdPerD), ftoa(p.FPR),
-			strconv.FormatInt(p.ControlBytes, 10),
-			ftoa(p.WallSec), ftoa(p.ContactsPerSec),
-			strconv.FormatInt(p.PeakRSS, 10), ftoa(p.RSSPerNode),
-		})
-	}
-	return t
-}

@@ -316,16 +316,15 @@ func (m *Mesh) Join(addr string) error {
 
 // bootstrap retries each seed a few times under the workers' backoff
 // shape; a seed that stays unreachable is dropped (gossip transitivity
-// finds everyone once any seed answers).
+// finds everyone once any seed answers). The backoff separates attempts
+// at one seed, so the next seed is tried as soon as the last attempt
+// fails.
 func (m *Mesh) bootstrap(seeds []string) {
 	defer m.wg.Done()
 	rng := rand.New(rand.NewSource(m.cfg.Seed + 0x5eed))
 	for _, addr := range seeds {
 		backoff := m.cfg.ReconnectBackoff
-		for attempt := 0; attempt <= maxJobRetries; attempt++ {
-			if m.Join(addr) == nil {
-				break
-			}
+		for attempt := 0; m.Join(addr) != nil && attempt < maxJobRetries; attempt++ {
 			timer := time.NewTimer(xrand.JitteredBackoff(backoff, rng.Float64()))
 			select {
 			case <-m.closed:

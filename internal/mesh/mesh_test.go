@@ -3,6 +3,7 @@ package mesh
 import (
 	"errors"
 	"math/rand"
+	"net"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -487,6 +488,67 @@ func TestMeshConvergenceAndDissemination(t *testing.T) {
 		st := meshes[0].Stats()
 		return st.GossipAbsorbed > 0 && st.Contacts > 0
 	})
+}
+
+// TestBootstrapMovesOnAfterLastFailedSeedAttempt pins bootstrap's retry
+// shape at an unreachable first seed: 1+maxJobRetries dials to it, then
+// the next seed at once, with no backoff sleep after the last failure.
+// The backoff floor is 150 ms (half of 300 ms), so a trailing sleep would
+// put the live seed's first dial at least that far behind the last dead
+// one.
+func TestBootstrapMovesOnAfterLastFailedSeedAttempt(t *testing.T) {
+	testutil.CheckGoroutineLeaks(t)
+	live, err := Start("127.0.0.1:0", nodeConfig(1, nil), fastConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = live.Close() })
+
+	const dead = "dead-seed.invalid:1"
+	var (
+		mu        sync.Mutex
+		deadDials []time.Time
+		liveDial  time.Time
+		deadAtHit int // dead dials recorded when the live seed was first dialled
+	)
+	ncfg := nodeConfig(2, nil)
+	ncfg.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
+		now := time.Now()
+		mu.Lock()
+		if addr == dead {
+			deadDials = append(deadDials, now)
+			mu.Unlock()
+			return nil, errors.New("unreachable seed")
+		}
+		if addr == live.Addr() && liveDial.IsZero() {
+			liveDial, deadAtHit = now, len(deadDials)
+		}
+		mu.Unlock()
+		return net.DialTimeout("tcp", addr, timeout)
+	}
+	cfg := fastConfig(dead, live.Addr())
+	cfg.ReconnectBackoff = 300 * time.Millisecond
+	cfg.MaxReconnectBackoff = 300 * time.Millisecond
+	m, err := Start("127.0.0.1:0", ncfg, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = m.Close() })
+
+	waitFor(t, 10*time.Second, "a dial to the live seed", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return !liveDial.IsZero()
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	if deadAtHit != 1+maxJobRetries || len(deadDials) != 1+maxJobRetries {
+		t.Fatalf("dead seed dialled %d times before the live seed (%d in all), want %d",
+			deadAtHit, len(deadDials), 1+maxJobRetries)
+	}
+	if gap := liveDial.Sub(deadDials[len(deadDials)-1]); gap >= 100*time.Millisecond {
+		t.Errorf("live seed dialled %v after the dead seed's last attempt, want under 100ms", gap)
+	}
 }
 
 func TestMeshCloseIsIdempotent(t *testing.T) {

@@ -117,8 +117,9 @@ func (c *Collector) DataBytes(n int) { c.dataBytes += int64(n) }
 // simulator refuses.
 func (c *Collector) LateDrop() { c.lateDrops++ }
 
-// Contact records one executed contact session; the scale sweep divides
-// the total by wall time for its contacts-per-second throughput figure.
+// Contact records one executed contact session; bsub-sim -nodes and
+// perfbench divide the total by wall time for their contacts-per-second
+// throughput figure.
 func (c *Collector) Contact() { c.contacts++ }
 
 // Merge folds other into c. Every constituent is merged exactly — counters
